@@ -1,11 +1,11 @@
-// Shared command-line front-end for the per-figure bench binaries.
+// Shared run-flag parser of the mot3d_experiments CLI.
 //
 // Every figure/table experiment is a declarative sim::ScenarioSpec in the
-// scenario registry (src/sim/scenario_registry.*); each bench binary is a
-// one-line wrapper: `return scenario_main("<registry name>", argc, argv);`.
-// The `mot3d_experiments` CLI runs the same registry entries by name.
+// scenario registry (src/sim/scenario_registry.*); `mot3d_experiments run
+// <name>` runs one by name, and its run/trace/grid/check-golden commands
+// hand their pass-through flags to parse_options() below.
 //
-// Every binary accepts:
+// Accepted flags:
 //   --scale=<double>    fraction of each app's full instruction budget
 //                       (default = the scenario's registered default)
 //   --seed=<u64>        workload RNG seed (default 42)
@@ -26,7 +26,7 @@
 // never silently fall back to the default.
 //
 // Results are shape-stable in scale — the paper's absolute testbed numbers
-// are not reproducible by construction (see DESIGN.md), so each bench
+// are not reproducible by construction (see DESIGN.md), so each scenario
 // prints our measured series next to the paper's reported deltas.
 #pragma once
 
@@ -38,7 +38,6 @@
 
 #include "cluster/cluster.hpp"
 #include "sim/scenario.hpp"
-#include "sim/scenario_registry.hpp"
 
 namespace mot3d::bench {
 
@@ -54,9 +53,9 @@ struct Options {
 };
 
 inline void print_usage(std::ostream& os) {
-  os << "usage: bench [--scale=<double>] [--seed=<u64>] [--threads=<n>]\n"
-     << "             [--json=<path>] [--scheduler=event|dense]\n"
-     << "             [--timeout=<seconds>] [--trace=<path>] [--metrics=<path>]\n";
+  os << "run flags: [--scale=<double>] [--seed=<u64>] [--threads=<n>]\n"
+     << "           [--json=<path>] [--scheduler=event|dense]\n"
+     << "           [--timeout=<seconds>] [--trace=<path>] [--metrics=<path>]\n";
 }
 
 [[noreturn]] inline void usage_error(const std::string& msg) {
@@ -165,25 +164,6 @@ inline sim::ScenarioOptions to_scenario_options(const Options& opt) {
   sopt.trace_path = opt.trace_path;
   sopt.metrics_path = opt.metrics_path;
   return sopt;
-}
-
-/// The whole body of a bench binary: look the scenario up in the registry,
-/// parse the standard flags (defaults from the spec), run and present.
-inline int scenario_main(const std::string& name, int argc, char** argv) {
-  const sim::ScenarioSpec* spec = sim::find_scenario(name);
-  if (spec == nullptr) {
-    std::cerr << "error: scenario '" << name << "' is not registered\n";
-    return 2;
-  }
-  const Options opt = parse_options(argc, argv, spec->default_scale);
-  try {
-    return sim::run_and_present(*spec, to_scenario_options(opt), std::cout);
-  } catch (const std::exception& e) {
-    // Per-run failures are isolated inside the sweep; anything that still
-    // escapes (config errors, allocation failure) exits with one line.
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
 }
 
 }  // namespace mot3d::bench

@@ -7,8 +7,8 @@
 //   mot3d_experiments update-golden [name...]   # regenerate golden baselines
 //   mot3d_experiments check-golden [name...]    # compare against baselines
 //
-// `run` takes the same flags as the bench binaries (--scale/--seed/
-// --threads/--json/--scheduler/--trace/--metrics) plus --golden to force a
+// `run` takes the run flags of harness.hpp (--scale/--seed/--threads/
+// --json/--scheduler/--timeout/--trace/--metrics) plus --golden to force a
 // scenario's pinned golden options (golden_scale + registry seed) — handy
 // to eyeball exactly what the regression suite compares.
 //
@@ -36,6 +36,7 @@
 
 #include "common/table.hpp"
 #include "harness.hpp"
+#include "sim/scenario_registry.hpp"
 #include "sim/sweep_service.hpp"
 
 namespace {

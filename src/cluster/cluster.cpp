@@ -195,6 +195,7 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
   // simulation by construction, so those runs always get progress checks.
   if (cfg_.watchdog.enabled || cfg_.fault.enabled) {
     watchdog_ = std::make_unique<fault::Watchdog>(cfg_.watchdog);
+    next_watchdog_cycle_ = watchdog_->next_check_cycle();
   }
 
   // ---- observability (opt-in; inert otherwise) ----
@@ -329,11 +330,6 @@ void Cluster::drain_fabric_deliveries() {
   interconnect_->clear_deliveries();
 }
 
-void Cluster::inject_core_traffic() {
-  inject_coherence_acks();
-  inject_demand_requests();
-}
-
 void Cluster::inject_coherence_acks() {
   // Coherence acknowledgements first: they unblock stalled directory
   // transactions and flow even while the cores' clocks are held (the L1
@@ -369,114 +365,58 @@ void Cluster::inject_demand_requests() {
   }
 }
 
-void Cluster::tick_once() {
-  if (phase_timer_ != nullptr && phase_timer_->should_sample()) {
-    tick_once_timed(/*event_mode=*/false);
-    return;
-  }
+void Cluster::tick_once(bool gated) {
+  // Host phase timing stamps only the 1-in-64 sampled tick: an unsampled
+  // tick never reads the clock.  drain_fabric_deliveries() touches core and
+  // bank state but runs on behalf of the fabric's deliveries, so its cost
+  // is charged to the fabric phase (documented convention).
+  using PT = obs::PhaseTimer;
+  PT::Lap lap(phase_timer_ != nullptr && phase_timer_->should_sample()
+                  ? phase_timer_.get()
+                  : nullptr);
   // Frozen cores are clock-held: no tick, no injection retry.  They are
   // also excluded from event-mode skip accounting, so both schedulers see
   // identical (frozen) core statistics.
   if (!cores_frozen_) {
     for (cpu::Core& core : core_arena_) core.tick(now_);
   }
-  inject_core_traffic();
-  interconnect_->tick(now_);
-  drain_fabric_deliveries();
-  l2_->tick(now_);
-  dram_->tick(now_);
-  ++now_;
-}
-
-// Identical to tick_once() except that each component is ticked only when
-// its next-event contract says this cycle can change its state — skipped
-// ticks are no-ops by that contract, so results are unchanged.  The gates
-// are evaluated just-in-time because earlier phases of the same cycle may
-// stimulate later components (core -> interconnect -> L2 -> DRAM).
-void Cluster::tick_once_event() {
-  if (phase_timer_ != nullptr && phase_timer_->should_sample()) {
-    tick_once_timed(/*event_mode=*/true);
-    return;
-  }
-  if (!cores_frozen_) {
-    for (cpu::Core& core : core_arena_) core.tick(now_);
-  }
-  inject_core_traffic();
-  if (interconnect_->next_event(now_) <= now_) {
-    interconnect_->tick(now_);
-    drain_fabric_deliveries();
-  }
-  if (l2_->next_event(now_) <= now_) l2_->tick(now_);
-  if (dram_->next_event(now_) <= now_) dram_->tick(now_);
-  ++now_;
-}
-
-void Cluster::tick_once_timed(bool event_mode) {
-  // Same phase order as the untimed ticks; steady_clock stamps between
-  // phases attribute host wall time.  drain_fabric_deliveries() touches
-  // core and bank state but runs on behalf of the fabric's deliveries, so
-  // its cost is charged to the fabric phase (documented convention).
-  using PT = obs::PhaseTimer;
-  const auto t0 = PT::clock::now();
-  if (!cores_frozen_) {
-    for (cpu::Core& core : core_arena_) core.tick(now_);
-  }
-  const auto t1 = PT::clock::now();
-  phase_timer_->add(PT::kWorkload, t0, t1);
+  lap.end(PT::kWorkload);
   inject_coherence_acks();
-  const auto t2 = PT::clock::now();
-  phase_timer_->add(PT::kCoherence, t1, t2);
+  lap.end(PT::kCoherence);
   inject_demand_requests();
-  if (!event_mode || interconnect_->next_event(now_) <= now_) {
+  // Gated, a component ticks only when its next-event contract says this
+  // cycle can change its state — skipped ticks are no-ops by that
+  // contract, so results are unchanged.  The gates are evaluated
+  // just-in-time because earlier phases of the same cycle may stimulate
+  // later components (core -> interconnect -> L2 -> DRAM).
+  if (!gated || interconnect_->next_event(now_) <= now_) {
     interconnect_->tick(now_);
     drain_fabric_deliveries();
   }
-  const auto t3 = PT::clock::now();
-  phase_timer_->add(PT::kFabric, t2, t3);
-  if (!event_mode || l2_->next_event(now_) <= now_) l2_->tick(now_);
-  const auto t4 = PT::clock::now();
-  phase_timer_->add(PT::kL2, t3, t4);
-  if (!event_mode || dram_->next_event(now_) <= now_) dram_->tick(now_);
-  const auto t5 = PT::clock::now();
-  phase_timer_->add(PT::kDram, t4, t5);
+  lap.end(PT::kFabric);
+  if (!gated || l2_->next_event(now_) <= now_) l2_->tick(now_);
+  lap.end(PT::kL2);
+  if (!gated || dram_->next_event(now_) <= now_) dram_->tick(now_);
+  lap.end(PT::kDram);
   ++now_;
 }
 
 Cycle Cluster::next_event_cycle() const {
-  Cycle next = kNeverCycle;
-  // Thermal boundaries and the post-reconfiguration unfreeze point are
-  // events: the jump must land on them exactly, as the dense loop does.
-  if (thermal_ != nullptr) {
-    next = std::min(next, next_thermal_cycle_);
-  }
-  if (metrics_ != nullptr) {
-    // Metrics epoch boundaries are events exactly like thermal boundaries,
-    // so both schedulers sample at identical cycles.
-    next = std::min(next, next_metrics_cycle_);
-  }
-  if (fault_sched_ != nullptr) {
-    // The next scheduled fault is an event: the jump must land on it so
-    // both schedulers inject at the same cycle.  A drain in progress (or a
-    // deferred hard fault behind it) resolves through component events, but
-    // the post-reconfiguration unfreeze point is time-only.
-    const auto& evs = fault_sched_->events();
-    if (fault_event_idx_ < evs.size()) {
-      next = std::min(next, std::max(evs[fault_event_idx_].cycle, now_));
-    }
-  }
-  if ((thermal_ != nullptr || fault_sched_ != nullptr) && cores_frozen_ &&
-      frozen_until_ > now_) {
-    next = std::min(next, frozen_until_);
-  }
-  if (watchdog_ != nullptr) {
-    next = std::min(next, watchdog_->next_check_cycle());
-  }
+  // Run-loop boundaries (thermal sampling, metrics epochs, the next
+  // scheduled fault, watchdog checks) are events: the jump must land on
+  // them exactly, as the dense loop does.  Each field reads kNeverCycle
+  // while its subsystem is off.  The post-reconfiguration unfreeze point
+  // is a time-only event too; a drain in progress resolves through
+  // component events.
+  Cycle next = std::min({next_thermal_cycle_, next_metrics_cycle_,
+                         next_fault_cycle_, next_watchdog_cycle_});
+  if (frozen_until_ > now_) next = std::min(next, frozen_until_);
   if (!cores_frozen_) {
     for (const cpu::Core& core : core_arena_) {
       next = std::min(next, core.next_event(now_));
       if (next <= now_) return now_;
     }
-  } else if (coh_dir_ != nullptr) {
+  } else {
     // Clock-held cores still inject coherence acknowledgements — a queued
     // ack is an every-cycle event even while the instruction stream halts.
     for (const cpu::Core& core : core_arena_) {
@@ -494,7 +434,7 @@ Cycle Cluster::next_event_cycle() const {
 void Cluster::step(Cycle cycles) {
   // Always dense: examples and reconfiguration demos rely on exact
   // cycle-by-cycle stepping regardless of the configured scheduler.
-  for (Cycle i = 0; i < cycles; ++i) tick_once();
+  for (Cycle i = 0; i < cycles; ++i) tick_once(/*gated=*/false);
 }
 
 bool Cluster::finished() const {
@@ -506,28 +446,19 @@ bool Cluster::finished() const {
 }
 
 SimResult Cluster::run() {
-  if (cfg_.scheduler == SchedulerMode::kDenseTick) {
-    while (!finished()) {
-      if (now_ >= cfg_.max_cycles) {
-        throw std::runtime_error("simulation exceeded max_cycles — livelock?\n" +
-                                 progress_dump());
-      }
-      poll();
-      if (run_failed_) break;  // unrecoverable fault: structured outcome
-      tick_once();
+  // Dense mode ticks every cycle with every gate open.  Event mode, when
+  // nothing can happen this cycle, jumps straight to the earliest future
+  // event, batch-accounting the skipped cycles on every core so all
+  // statistics stay bit-identical to the dense reference.
+  const bool gated = cfg_.scheduler == SchedulerMode::kEventDriven;
+  while (!finished()) {
+    if (now_ >= cfg_.max_cycles) {
+      throw std::runtime_error("simulation exceeded max_cycles — livelock?\n" +
+                               progress_dump());
     }
-  } else {
-    // Event-driven: whenever nothing can happen this cycle, jump straight
-    // to the earliest future event, batch-accounting the skipped cycles on
-    // every core so all statistics stay bit-identical to the dense
-    // reference.
-    while (!finished()) {
-      if (now_ >= cfg_.max_cycles) {
-        throw std::runtime_error("simulation exceeded max_cycles — livelock?\n" +
-                                 progress_dump());
-      }
-      poll();
-      if (run_failed_) break;
+    poll();
+    if (run_failed_) break;  // unrecoverable fault: structured outcome
+    if (gated) {
       const Cycle next = next_event_cycle();
       if (next > now_) {
         if (next == kNeverCycle) {
@@ -545,8 +476,8 @@ SimResult Cluster::run() {
         now_ = target;
         continue;
       }
-      tick_once_event();
     }
+    tick_once(gated);
   }
   thermal_finalize();
   obs_finalize();
@@ -563,7 +494,7 @@ void Cluster::poll() {
     fault_poll();
     set_frozen(draining_ || governor_hold_ || now_ < frozen_until_);
   }
-  if (watchdog_ != nullptr) watchdog_poll();
+  watchdog_poll();
   metrics_poll();
 }
 
@@ -571,7 +502,7 @@ void Cluster::metrics_poll() {
   // Exact boundary match, mirroring thermal sampling: the dense loop walks
   // every cycle and the event loop's jump lands on the boundary exactly
   // (next_event_cycle() includes it), so `==` holds for both.
-  if (metrics_ == nullptr || now_ != next_metrics_cycle_) return;
+  if (now_ != next_metrics_cycle_) return;
   metrics_->sample(now_);
   next_metrics_cycle_ = now_ + cfg_.obs.metrics_epoch_cycles;
 }
@@ -669,6 +600,8 @@ void Cluster::fault_poll() {
     // events exist while everything is idle).
     try_complete_drain();
   }
+  next_fault_cycle_ =
+      fault_event_idx_ < evs.size() ? evs[fault_event_idx_].cycle : kNeverCycle;
 }
 
 void Cluster::apply_fault(const fault::FaultEvent& ev) {
@@ -742,10 +675,14 @@ void Cluster::apply_fault(const fault::FaultEvent& ev) {
 }
 
 void Cluster::watchdog_poll() {
-  // Cheap guard first: the signature walk is O(cores + banks) and must not
-  // run every dense-mode cycle.
-  if (now_ < watchdog_->next_check_cycle()) return;
-  switch (watchdog_->poll(now_, progress_signature())) {
+  // Cheap guard first (and the whole poll without a watchdog): the
+  // signature walk is O(cores + banks) and must not run every dense-mode
+  // cycle.
+  if (now_ < next_watchdog_cycle_) return;
+  const fault::WatchdogVerdict verdict =
+      watchdog_->poll(now_, progress_signature());
+  next_watchdog_cycle_ = watchdog_->next_check_cycle();
+  switch (verdict) {
     case fault::WatchdogVerdict::kOk:
       break;
     case fault::WatchdogVerdict::kStalled:

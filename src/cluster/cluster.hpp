@@ -218,14 +218,13 @@ class Cluster {
   SimResult collect_result() const;
 
  private:
-  void tick_once();
-  void tick_once_event();
-
-  /// Instrumented tick (1-in-64 sampled when phase timing is on): the same
-  /// phase order as tick_once / tick_once_event with steady_clock stamps
-  /// between phases.  Clock reads never touch model state, so timing a run
+  /// One simulated cycle: cores, coherence acks, demand injection, fabric,
+  /// L2, DRAM.  gated (the event scheduler) ticks a component only when its
+  /// next_event() is due; dense mode passes false and ticks everything.
+  /// When phase timing is on, 1 tick in 64 takes steady_clock stamps
+  /// between phases; clock reads never touch model state, so timing a run
   /// cannot perturb its modeled metrics.
-  void tick_once_timed(bool event_mode);
+  void tick_once(bool gated);
 
   /// Hand one fabric-delivered response to its core (or the L1 snoop
   /// controller for invalidations), recording the latency sample.
@@ -236,23 +235,23 @@ class Cluster {
   /// equivalence note in common/interconnect.hpp).
   void drain_fabric_deliveries();
 
-  /// Shared per-cycle injection phase of both schedulers: coherence
-  /// acknowledgements first (they flow even while cores are clock-held),
-  /// then the demand request of each unfrozen core.  Split so the timed
-  /// tick can attribute the two halves to different phases.
-  void inject_core_traffic();
+  /// Per-cycle injection phase: coherence acknowledgements first (they
+  /// flow even while cores are clock-held), then the demand request of
+  /// each unfrozen core.  Two calls so phase timing can attribute the
+  /// halves to different phases.
   void inject_coherence_acks();
   void inject_demand_requests();
 
   /// Minimum over every component's next_event(now_); never below now_.
-  /// Thermal sampling boundaries, the governor's unfreeze point, fault
-  /// injection times and watchdog check boundaries are events too, so both
+  /// The run-loop boundary fields (next_*_cycle_, kNeverCycle while their
+  /// subsystem is off) and the unfreeze point are events too, so both
   /// schedulers visit them at the exact same cycles.
   Cycle next_event_cycle() const;
 
   /// Top-of-iteration poll of both schedulers: thermal steps, then fault
-  /// injection, then the watchdog.  Strictly ordered so the byte-identical
-  /// guarantee holds per subsystem combination.
+  /// injection, then the watchdog, then metrics.  Strictly ordered so the
+  /// byte-identical guarantee holds per subsystem combination.  A new
+  /// run-loop subsystem adds one boundary field and one call here.
   void poll();
 
   // -- thermal subsystem plumbing (all no-ops when thermal_ is null) --
@@ -381,6 +380,7 @@ class Cluster {
   std::unique_ptr<fault::FaultSchedule> fault_sched_;
   std::unique_ptr<fault::DegradationManager> degrade_;
   std::size_t fault_event_idx_ = 0;         ///< next schedule entry to fire
+  Cycle next_fault_cycle_ = kNeverCycle;    ///< its cycle; set by fault_poll()
   std::deque<fault::FaultEvent> deferred_faults_;  ///< queued behind a drain
   fault::FaultSummary fault_summary_;
   std::uint64_t drop_invalidates_remaining_ = 0;  ///< directed-test wedge
@@ -391,6 +391,7 @@ class Cluster {
 
   // -- watchdog (engaged when cfg_.watchdog.enabled or faults are on) --
   std::unique_ptr<fault::Watchdog> watchdog_;
+  Cycle next_watchdog_cycle_ = kNeverCycle;  ///< mirrors next_check_cycle()
 
   // -- observability state (engaged only via cfg_.obs; see src/obs/) --
   /// Trace sink: unbounded under cfg_.obs.trace, a bounded flight-recorder

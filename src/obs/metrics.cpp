@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "common/json_escape.hpp"
+
 namespace mot3d::obs {
 
 namespace {
@@ -18,13 +20,6 @@ void write_number(std::ostream& os, double v) {
   char buf[64];
   const auto res = std::to_chars(buf, buf + sizeof(buf), v);
   os.write(buf, res.ptr - buf);
-}
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\' << c;
-    else os << c;
-  }
 }
 
 }  // namespace
@@ -58,9 +53,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   os << "],\"counters\":{";
   for (std::size_t i = 0; i < counters_.size(); ++i) {
     if (i != 0) os << ',';
-    os << "\n  \"";
-    write_escaped(os, counters_[i].name);
-    os << "\":[";
+    os << "\n  \"" << json_escape(counters_[i].name) << "\":[";
     for (std::size_t s = 0; s < counters_[i].series.size(); ++s) {
       if (s != 0) os << ',';
       write_number(os, counters_[i].series[s]);

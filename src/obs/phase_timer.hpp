@@ -38,6 +38,26 @@ class PhaseTimer {
                   .count();
   }
 
+  /// Stamps the consecutive phases of one tick.  Built from a null timer
+  /// (an unsampled tick) it is inert and never reads the clock.
+  class Lap {
+   public:
+    explicit Lap(PhaseTimer* timer)
+        : timer_(timer),
+          last_(timer != nullptr ? clock::now() : clock::time_point{}) {}
+    /// Charge the time since the previous stamp to `p`.
+    void end(Phase p) {
+      if (timer_ == nullptr) return;
+      const clock::time_point now = clock::now();
+      timer_->add(p, last_, now);
+      last_ = now;
+    }
+
+   private:
+    PhaseTimer* timer_;
+    clock::time_point last_;
+  };
+
   /// Extrapolated totals (sampled nanoseconds x 64).
   PhaseSeconds totals() const {
     PhaseSeconds t;

@@ -2,25 +2,16 @@
 
 #include <sstream>
 
+#include "common/json_escape.hpp"
+
 namespace mot3d::obs {
 
 namespace {
 
-// Track and event names are first-party string literals, but escape the
-// JSON-special characters anyway so a future name cannot corrupt a file.
-void write_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\' << c;
-    else if (c == '\n') os << "\\n";
-    else os << c;
-  }
-}
-
 void write_event_json(std::ostream& os, const TraceEvent& e,
                       std::uint32_t pid) {
-  os << "{\"name\":\"";
-  write_escaped(os, e.name);
-  os << "\",\"ph\":\"" << e.phase << "\",\"ts\":" << e.ts;
+  os << "{\"name\":\"" << json_escape(e.name) << "\",\"ph\":\"" << e.phase
+     << "\",\"ts\":" << e.ts;
   if (e.phase == 'X') os << ",\"dur\":" << e.dur;
   os << ",\"pid\":" << pid << ",\"tid\":" << e.track;
   if (e.phase == 'i') os << ",\"s\":\"t\"";
@@ -28,16 +19,12 @@ void write_event_json(std::ostream& os, const TraceEvent& e,
     os << ",\"args\":{";
     bool first = true;
     if (e.key1 != nullptr) {
-      os << '"';
-      write_escaped(os, e.key1);
-      os << "\":" << e.val1;
+      os << '"' << json_escape(e.key1) << "\":" << e.val1;
       first = false;
     }
     if (e.key2 != nullptr) {
       if (!first) os << ',';
-      os << '"';
-      write_escaped(os, e.key2);
-      os << "\":" << e.val2;
+      os << '"' << json_escape(e.key2) << "\":" << e.val2;
     }
     os << '}';
   }
@@ -51,9 +38,7 @@ void write_metadata(std::ostream& os, const char* kind, std::uint32_t pid,
   first = false;
   os << "{\"name\":\"" << kind << "\",\"ph\":\"M\",\"pid\":" << pid;
   if (with_tid) os << ",\"tid\":" << tid;
-  os << ",\"args\":{\"name\":\"";
-  write_escaped(os, name);
-  os << "\"}}";
+  os << ",\"args\":{\"name\":\"" << json_escape(name) << "\"}}";
 }
 
 }  // namespace

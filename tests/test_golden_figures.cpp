@@ -3,7 +3,9 @@
 // compared byte-for-byte against the committed baseline under tests/golden/.
 // Each scenario is checked under BOTH schedulers — the event-driven loop
 // must serialise to the exact bytes of the dense-tick reference, so a
-// scheduler bug and a model drift are caught by the same net.
+// scheduler bug and a model drift are caught by the same net — and with
+// host phase timing off and on, since the sampled timed tick must drive
+// the model exactly like the untimed one.
 //
 // To change a baseline on purpose (a deliberate model change):
 //   ./build/mot3d_experiments update-golden
@@ -47,14 +49,24 @@ TEST_P(GoldenFigures, MatchesBaselineUnderBothSchedulers) {
 
   for (cluster::SchedulerMode mode :
        {cluster::SchedulerMode::kEventDriven, cluster::SchedulerMode::kDenseTick}) {
-    ScenarioOptions opt = golden_options(*spec);
-    opt.scheduler = mode;
-    const ScenarioOutcome out = run_scenario(*spec, opt);
-    EXPECT_EQ(scenario_metrics_json(out), golden)
-        << "scenario " << spec->name << " drifted from its baseline under the "
-        << cluster::scheduler_name(mode)
-        << " scheduler.  If the model change is intentional, regenerate with "
-           "mot3d_experiments update-golden and commit the diff.";
+    for (bool phase_timing : {false, true}) {
+      ScenarioOptions opt = golden_options(*spec);
+      opt.scheduler = mode;
+      opt.phase_timing = phase_timing;
+      const ScenarioOutcome out = run_scenario(*spec, opt);
+      EXPECT_EQ(scenario_metrics_json(out), golden)
+          << "scenario " << spec->name << " drifted from its baseline under the "
+          << cluster::scheduler_name(mode) << " scheduler with phase timing "
+          << (phase_timing ? "on" : "off")
+          << ".  If the model change is intentional, regenerate with "
+             "mot3d_experiments update-golden and commit the diff.";
+      // The timed tick really ran: every completed run reports phase totals.
+      for (std::size_t i = 0; i < out.results.size(); ++i) {
+        if (out.run_ok(i)) {
+          EXPECT_EQ(out.results[i].phase_seconds.valid, phase_timing) << i;
+        }
+      }
+    }
   }
 }
 

@@ -25,6 +25,39 @@
 namespace mot3d::obs {
 namespace {
 
+// ---- JSON escaping: both obs writers use common/json_escape.hpp -------------
+
+// A metric name and a trace name holding a quote, a backslash, a newline
+// and a tab must serialise to valid JSON, with the same escape sequences
+// the perf-report writer emits.
+TEST(JsonEscape, MetricAndTraceNamesEscapeQuoteBackslashNewlineTab) {
+  const std::string name = "a\"b\\c\nd\te";
+  const std::string esc = "a\\\"b\\\\c\\nd\\te";
+
+  MetricsRegistry reg(10);
+  reg.add(name, [] { return 1.0; });
+  reg.sample(10);
+  std::ostringstream metrics;
+  reg.write_json(metrics);
+  EXPECT_EQ(metrics.str(),
+            "{\"cycles\":[10],\"counters\":{\n  \"" + esc + "\":[1]\n}}");
+
+  TraceBuffer buf;
+  const std::uint32_t track = buf.add_track(name);
+  buf.instant(name.c_str(), track, 5, name.c_str(), 7);
+  std::ostringstream trace;
+  write_chrome_trace(trace, {{name, &buf}});
+  EXPECT_EQ(trace.str(),
+            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
+            "\"args\":{\"name\":\"" + esc + "\"}},\n"
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
+            "\"args\":{\"name\":\"" + esc + "\"}},\n"
+            "{\"name\":\"" + esc + "\",\"ph\":\"i\",\"ts\":5,\"pid\":0,"
+            "\"tid\":0,\"s\":\"t\",\"args\":{\"" + esc + "\":7}}"
+            "\n]}\n");
+}
+
 // ---- trace buffer: unbounded vs drop-oldest ring ---------------------------
 
 TEST(TraceBuffer, UnboundedKeepsEverythingInOrder) {
