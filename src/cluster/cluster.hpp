@@ -171,7 +171,7 @@ struct SimResult {
   /// off; the obs_* scenario-JSON fields then stay absent).
   obs::ObsSummary obs;
   /// Host wall-seconds per simulator phase (valid only when
-  /// ObsConfig::phase_timing was on; bench_scale --json uses this).
+  /// ObsConfig::phase_timing was on; `scale --json` uses this).
   obs::PhaseSeconds phase_seconds;
   /// The run's full event trace / sampled metrics; null unless the
   /// corresponding ObsConfig switch was on.  Shared with the cluster

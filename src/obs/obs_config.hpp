@@ -22,7 +22,7 @@ struct ObsConfig {
   /// carry a watchdog) engage the ring automatically.
   bool flight_recorder = false;
   std::size_t flight_recorder_events = 128;
-  /// Attribute host wall-time to simulator phases (bench_scale --json).
+  /// Attribute host wall-time to simulator phases (`scale --json`).
   bool phase_timing = false;
 
   /// True when any latency histogram / trace / metrics machinery runs.

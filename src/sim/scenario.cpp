@@ -594,7 +594,7 @@ core::PowerState power_state_by_name(const std::string& name) {
     return core::PowerState(name, 16, cores, 32, banks);
   }
   // Scale-out shapes: "Full<cores>x<banks>" is a fully powered cluster of
-  // that physical shape (e.g. Full256x512) — the bench_scale grid and the
+  // that physical shape (e.g. Full256x512) — the `scale` grid and the
   // scale_smoke scenario run these on the MoT fabric.
   if (std::sscanf(name.c_str(), "Full%zux%zu%n", &cores, &banks, &consumed) == 2 &&
       static_cast<std::size_t>(consumed) == name.size()) {

@@ -61,7 +61,7 @@ struct ScenarioOptions {
   /// Interval-metrics time series destination ("" = off).  JSON by
   /// default; a path ending in ".csv" selects long-format CSV rows.
   std::string metrics_path;
-  /// Attribute host wall seconds to simulator phases (bench_scale --json).
+  /// Attribute host wall seconds to simulator phases (`scale --json`).
   bool phase_timing = false;
 };
 
@@ -91,7 +91,7 @@ struct ScenarioSpec {
   std::vector<DramBackendMode> dram_backends;
 
   // -- run knobs --
-  double default_scale = 0.5;  ///< bench-binary default (--scale overrides)
+  double default_scale = 0.5;  ///< run/trace/grid default (--scale overrides)
   double golden_scale = 0.02;  ///< reduced scale pinned by the golden suite
   std::uint64_t seed = 42;
 

@@ -741,15 +741,12 @@ ScenarioSpec stacked_dram_spec() {
 
 ScenarioSpec custom_spec(std::string name, std::string description,
                          int (*body)(const ScenarioSpec&, const ScenarioOptions&,
-                                     std::ostream&),
-                         double default_scale) {
+                                     std::ostream&)) {
   ScenarioSpec s;
   s.name = std::move(name);
   s.figure = "-";
   s.description = std::move(description);
   s.kind = ScenarioSpec::Kind::kCustom;
-  s.default_scale = default_scale;
-  s.golden_scale = default_scale;
   s.has_golden = false;
   s.run_custom = body;
   return s;
@@ -794,13 +791,10 @@ std::vector<ScenarioSpec> build_registry() {
   r.push_back(stacked_dram_spec());
   r.push_back(custom_spec("ablation_wire",
                           "repeater insertion vs Elmore wire delay",
-                          run_ablation_wire, 0.5));
+                          run_ablation_wire));
   r.push_back(custom_spec("ablation_pipeline",
                           "MoT latency vs offered load across power states",
-                          run_ablation_pipeline, 0.5));
-  r.push_back(custom_spec("micro_sim",
-                          "hot-path microbenchmarks + scheduler speedup",
-                          run_micro_sim, 0.05));
+                          run_ablation_pipeline));
   return r;
 }
 

@@ -15,13 +15,11 @@ Usage:
              i.e. run from the build directory)
   --full     also re-verify every golden baseline (slower; the smoke
              subset is sized for per-commit CI)
-  --bench    also exercise the bench_scale perf-guardrail contract:
+  --bench    also exercise the `scale` perf-guardrail contract:
              JSON report shape and every baseline-comparison exit code
              (0 ok / 1 regression / 2 usage / 3 bad baseline), using
              self-generated and doctored baselines so the checks are
              machine-independent
-  --bench-binary
-             path to bench_scale (default: ./bench_scale)
   --obs      also exercise the observability contract: run a traced
              scenario, parse the Chrome-trace and interval-metrics
              documents, and check track names, required keys, and
@@ -226,8 +224,10 @@ REQUIRED_CELL_KEYS = ("app", "cores", "banks", "state", "cycles",
                       "instructions", "wall_seconds", "cycles_per_second")
 
 # A deliberately tiny grid: the soak harness checks the *contract* of
-# bench_scale (report shape, exit codes), not its throughput numbers.
-BENCH_GRID = ["--cores=16,64", "--patterns=all_to_all", "--scale=0.005"]
+# `mot3d_experiments scale` (report shape, exit codes), not its throughput
+# numbers.
+BENCH_GRID = ["scale", "--cores=16,64", "--patterns=all_to_all",
+              "--scale=0.005"]
 
 
 def check_report_shape(name, path):
@@ -253,8 +253,8 @@ def check_report_shape(name, path):
     return TestResult(name, True, "report shape ok")
 
 
-def bench_tests(bench_binary):
-    """bench_scale contract checks, all against doctored local baselines."""
+def bench_tests(binary):
+    """`scale` contract checks, all against doctored local baselines."""
     results = []
     with tempfile.TemporaryDirectory(prefix="mot3d_bench_soak.") as tmp:
         report = os.path.join(tmp, "report.json")
@@ -262,18 +262,18 @@ def bench_tests(bench_binary):
 
         # Report shape + baseline generation in one invocation.
         results.append(run_test(
-            bench_binary, "bench_scale emits a report and a baseline",
+            binary, "scale emits a report and a baseline",
             BENCH_GRID + [f"--json={report}", f"--baseline={baseline}",
                           "--update-baseline"],
             expect_patterns=[r"baseline updated"]))
         if results[-1].success:
             results.append(check_report_shape(
-                "bench_scale JSON report shape", report))
+                "scale JSON report shape", report))
 
         # Exit 0: a fresh run against its own baseline is within tolerance
         # (modeled metrics are deterministic; throughput compares to itself).
         results.append(run_test(
-            bench_binary, "bench_scale baseline comparison passes (exit 0)",
+            binary, "scale baseline comparison passes (exit 0)",
             BENCH_GRID + [f"--baseline={baseline}"],
             expect_patterns=[r"baseline OK"]))
 
@@ -292,7 +292,7 @@ def bench_tests(bench_binary):
                                       str(e)))
         else:
             results.append(run_test(
-                bench_binary, "throughput regression exits 1",
+                binary, "throughput regression exits 1",
                 BENCH_GRID + [f"--baseline={fast}"],
                 expect_exit=1,
                 expect_patterns=[r"REGRESSION .*throughput"]))
@@ -309,14 +309,14 @@ def bench_tests(bench_binary):
             results.append(TestResult("doctor modeled baseline", False, str(e)))
         else:
             results.append(run_test(
-                bench_binary, "modeled drift exits 1",
+                binary, "modeled drift exits 1",
                 BENCH_GRID + [f"--baseline={drift}"],
                 expect_exit=1,
                 expect_patterns=[r"REGRESSION .*modeled drift"]))
 
         # Exit 3: missing and malformed baselines.
         results.append(run_test(
-            bench_binary, "missing baseline exits 3",
+            binary, "missing baseline exits 3",
             BENCH_GRID + [f"--baseline={os.path.join(tmp, 'nope.json')}"],
             expect_exit=3,
             expect_patterns=[r"baseline error"]))
@@ -324,26 +324,26 @@ def bench_tests(bench_binary):
         with open(broken, "w", encoding="utf-8") as f:
             f.write('{"bench": truncated')
         results.append(run_test(
-            bench_binary, "malformed baseline exits 3",
+            binary, "malformed baseline exits 3",
             BENCH_GRID + [f"--baseline={broken}"],
             expect_exit=3,
             expect_patterns=[r"baseline error"]))
 
         # Exit 3: a baseline recorded with different knobs is unusable.
         results.append(run_test(
-            bench_binary, "knob-mismatched baseline exits 3",
+            binary, "knob-mismatched baseline exits 3",
             BENCH_GRID + [f"--baseline={baseline}", "--scheduler=dense"],
             expect_exit=3,
             expect_patterns=[r"baseline error: baseline was recorded with"]))
 
         # Exit 2: usage errors.
         results.append(run_test(
-            bench_binary, "unknown flag exits 2",
-            ["--no-such-flag"],
+            binary, "unknown flag exits 2",
+            ["scale", "--no-such-flag"],
             expect_exit=2,
             expect_patterns=[r"error: unknown option"]))
         results.append(run_test(
-            bench_binary, "malformed tolerance exits 2",
+            binary, "malformed tolerance exits 2",
             BENCH_GRID + ["--tolerance=2.0"],
             expect_exit=2,
             expect_patterns=[r"--tolerance must be in"]))
@@ -603,8 +603,7 @@ def main():
     parser.add_argument("--full", action="store_true",
                         help="also re-verify every golden baseline")
     parser.add_argument("--bench", action="store_true",
-                        help="also exercise the bench_scale guardrail contract")
-    parser.add_argument("--bench-binary", default="./bench_scale")
+                        help="also exercise the scale guardrail contract")
     parser.add_argument("--obs", action="store_true",
                         help="also exercise the observability contract")
     parser.add_argument("--serve", action="store_true",
@@ -616,7 +615,7 @@ def main():
     if opts.full:
         results += full_tests(opts.binary)
     if opts.bench:
-        results += bench_tests(opts.bench_binary)
+        results += bench_tests(opts.binary)
     if opts.obs:
         results += obs_tests(opts.binary)
     if opts.serve:

@@ -95,13 +95,13 @@ TEST(ScenarioRegistry, AllFigureAndTableScenariosRegistered) {
     ASSERT_NE(spec, nullptr) << name;
     EXPECT_TRUE(spec->has_golden) << name;
   }
-  for (const char* name : {"ablation_wire", "ablation_pipeline", "micro_sim"}) {
+  for (const char* name : {"ablation_wire", "ablation_pipeline"}) {
     const ScenarioSpec* spec = find_scenario(name);
     ASSERT_NE(spec, nullptr) << name;
     EXPECT_EQ(spec->kind, ScenarioSpec::Kind::kCustom) << name;
     EXPECT_FALSE(spec->has_golden) << name;
   }
-  EXPECT_EQ(all_scenarios().size(), 16u);
+  EXPECT_EQ(all_scenarios().size(), 15u);
   EXPECT_EQ(find_scenario("no_such_scenario"), nullptr);
 }
 
