@@ -128,6 +128,7 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
     // requester slots for cores sit after the banks.
     dram_->read(static_cast<std::uint32_t>(cfg_.total_banks + c), addr, now,
                 [this, c](std::uint32_t, Addr a, Cycle done) {
+                  wake(arena_index(c), now_ + 1);
                   cores_[c]->on_ifetch_refill(a, done);
                 });
   };
@@ -144,6 +145,10 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
     }
     active_cores_.push_back(c);
   }
+  live_ = WordBitset(core_arena_.size());
+  acks_ = WordBitset(core_arena_.size());
+  parked_since_.assign(core_arena_.size(), 0);
+  unpark_all();
 
   // ---- thermal subsystem (opt-in; inert otherwise) ----
   if (cfg_.thermal.enabled) {
@@ -291,6 +296,11 @@ void Cluster::deliver_response(const MemResponse& resp) {
                       resp.bank, "addr", resp.addr);
     }
     cores_[resp.core]->on_coherence_invalidate(resp, now_);
+    const std::size_t i = arena_index(resp.core);
+    if (!acks_.test(i)) {
+      acks_.set(i);
+      ++acks_pending_;
+    }
     return;
   }
   const Cycle lat = now_ - resp.issue_cycle;
@@ -302,6 +312,7 @@ void Cluster::deliver_response(const MemResponse& resp) {
                      resp.issue_cycle, lat, "bank", resp.bank, "hit",
                      resp.l2_hit ? 1 : 0);
   }
+  wake(arena_index(resp.core), now_ + 1);
   cores_[resp.core]->on_response(resp, now_);
 }
 
@@ -330,29 +341,42 @@ void Cluster::drain_fabric_deliveries() {
   interconnect_->clear_deliveries();
 }
 
-void Cluster::inject_coherence_acks() {
+void Cluster::inject_acks_of(std::size_t i) {
+  cpu::Core& core = core_arena_[i];
+  while (core.pending_coherence() != nullptr &&
+         interconnect_->try_inject_request(*core.pending_coherence(), now_)) {
+    if (trace_ != nullptr) {
+      // Accepted injections only — a failed try is a poll, and polls
+      // differ between the schedulers.
+      const MemRequest& req = *core.pending_coherence();
+      trace_->instant(req_kind_name(req.kind), trk_core_base_ + req.core,
+                      now_, "bank", req.bank, "addr", req.addr);
+    }
+    core.coherence_accepted(now_);
+  }
+  if (core.pending_coherence() == nullptr && acks_.test(i)) {
+    acks_.reset(i);
+    --acks_pending_;
+  }
+}
+
+void Cluster::inject_coherence_acks(bool gated) {
   // Coherence acknowledgements first: they unblock stalled directory
   // transactions and flow even while the cores' clocks are held (the L1
   // snoop controller is not on the gated core clock).
   if (coh_dir_ == nullptr) return;
-  for (cpu::Core& core : core_arena_) {
-    while (core.pending_coherence() != nullptr &&
-           interconnect_->try_inject_request(*core.pending_coherence(), now_)) {
-      if (trace_ != nullptr) {
-        // Accepted injections only — a failed try is a poll, and polls
-        // differ between the schedulers.
-        const MemRequest& req = *core.pending_coherence();
-        trace_->instant(req_kind_name(req.kind), trk_core_base_ + req.core,
-                        now_, "bank", req.bank, "addr", req.addr);
-      }
-      core.coherence_accepted(now_);
-    }
+  if (gated) {
+    acks_.for_each([this](std::size_t i) { inject_acks_of(i); });
+  } else {
+    for (std::size_t i = 0; i < core_arena_.size(); ++i) inject_acks_of(i);
   }
 }
 
-void Cluster::inject_demand_requests() {
+void Cluster::inject_demand_requests(bool gated) {
   if (cores_frozen_) return;
-  for (cpu::Core& core : core_arena_) {
+  // Only a live core can hold a request: building one (a tick) or waking
+  // with a write-back to send (a response) both leave the core live.
+  const auto inject = [this](cpu::Core& core) {
     if (core.pending_request().has_value() &&
         interconnect_->try_inject_request(*core.pending_request(), now_)) {
       if (trace_ != nullptr) {
@@ -362,7 +386,62 @@ void Cluster::inject_demand_requests() {
       }
       core.injection_accepted(now_);
     }
+  };
+  if (gated) {
+    live_.for_each([&](std::size_t i) { inject(core_arena_[i]); });
+  } else {
+    for (cpu::Core& core : core_arena_) inject(core);
   }
+}
+
+void Cluster::tick_core(std::size_t i) {
+  cpu::Core& core = core_arena_[i];
+  const bool was_done = core.done();
+  core.tick(now_);
+  if (!was_done && core.done()) ++cores_done_;
+}
+
+void Cluster::tick_live_core(std::size_t i) {
+  tick_core(i);
+  const cpu::Core& core = core_arena_[i];
+  if (!barrier_waiters_.empty() && core.at_barrier() &&
+      barriers_.released(core.barrier_id())) {
+    // Core i just released the barrier.  The dense loop ticks a waiter
+    // after i in arena order in this same cycle (it sees the release now)
+    // and one before i next cycle (it spun through this one).
+    for (std::size_t w : barrier_waiters_) {
+      assert(core_arena_[w].barrier_id() == core.barrier_id());
+      wake(w, w > i ? now_ : now_ + 1);
+    }
+    barrier_waiters_.clear();
+  }
+  // A queued coherence ack holds next_event() at now, so a core parks
+  // only once its acks have drained and skip()'s contract holds as is.
+  if (core.next_event(now_ + 1) != kNeverCycle) return;
+  live_.reset(i);
+  parked_since_[i] = now_ + 1;
+  if (core.at_barrier()) barrier_waiters_.push_back(i);
+}
+
+void Cluster::wake(std::size_t i, Cycle settle_to) {
+  if (live_.test(i)) return;
+  if (!cores_frozen_) core_arena_[i].skip(parked_since_[i], settle_to);
+  live_.set(i);
+}
+
+void Cluster::settle_parked() {
+  if (cores_frozen_) return;
+  for (std::size_t i = 0; i < core_arena_.size(); ++i) {
+    if (live_.test(i)) continue;
+    core_arena_[i].skip(parked_since_[i], now_);
+    parked_since_[i] = now_;
+  }
+}
+
+void Cluster::unpark_all() {
+  settle_parked();
+  live_.set_first(core_arena_.size());
+  barrier_waiters_.clear();
 }
 
 void Cluster::tick_once(bool gated) {
@@ -376,14 +455,20 @@ void Cluster::tick_once(bool gated) {
                   : nullptr);
   // Frozen cores are clock-held: no tick, no injection retry.  They are
   // also excluded from event-mode skip accounting, so both schedulers see
-  // identical (frozen) core statistics.
+  // identical (frozen) core statistics.  Gated, only live cores tick; a
+  // parked core's ticks would be pure stat accrual, settled lazily.
   if (!cores_frozen_) {
-    for (cpu::Core& core : core_arena_) core.tick(now_);
+    if (gated) {
+      // A barrier waiter woken above the cursor ticks in this same walk.
+      live_.for_each([this](std::size_t i) { tick_live_core(i); });
+    } else {
+      for (std::size_t i = 0; i < core_arena_.size(); ++i) tick_core(i);
+    }
   }
   lap.end(PT::kWorkload);
-  inject_coherence_acks();
+  inject_coherence_acks(gated);
   lap.end(PT::kCoherence);
-  inject_demand_requests();
+  inject_demand_requests(gated);
   // Gated, a component ticks only when its next-event contract says this
   // cycle can change its state — skipped ticks are no-ops by that
   // contract, so results are unchanged.  The gates are evaluated
@@ -411,16 +496,15 @@ Cycle Cluster::next_event_cycle() const {
   Cycle next = std::min({next_thermal_cycle_, next_metrics_cycle_,
                          next_fault_cycle_, next_watchdog_cycle_});
   if (frozen_until_ > now_) next = std::min(next, frozen_until_);
+  // A queued coherence ack retries injection every cycle, even while the
+  // cores are clock-held.  Parked cores report kNeverCycle by definition,
+  // so only live ones are asked.
+  if (acks_pending_ > 0) return now_;
   if (!cores_frozen_) {
-    for (const cpu::Core& core : core_arena_) {
-      next = std::min(next, core.next_event(now_));
+    for (std::size_t i = live_.next(0); i != WordBitset::npos;
+         i = live_.next(i + 1)) {
+      next = std::min(next, core_arena_[i].next_event(now_));
       if (next <= now_) return now_;
-    }
-  } else {
-    // Clock-held cores still inject coherence acknowledgements — a queued
-    // ack is an every-cycle event even while the instruction stream halts.
-    for (const cpu::Core& core : core_arena_) {
-      if (core.pending_coherence() != nullptr) return now_;
     }
   }
   next = std::min(next, interconnect_->next_event(now_));
@@ -434,21 +518,20 @@ Cycle Cluster::next_event_cycle() const {
 void Cluster::step(Cycle cycles) {
   // Always dense: examples and reconfiguration demos rely on exact
   // cycle-by-cycle stepping regardless of the configured scheduler.
+  unpark_all();
   for (Cycle i = 0; i < cycles; ++i) tick_once(/*gated=*/false);
 }
 
 bool Cluster::finished() const {
-  for (const cpu::Core& core : core_arena_) {
-    if (!core.done()) return false;
-    if (core.pending_coherence() != nullptr) return false;
-  }
-  return interconnect_->idle() && l2_->idle() && dram_->idle();
+  return cores_done_ == core_arena_.size() && acks_pending_ == 0 &&
+         interconnect_->idle() && l2_->idle() && dram_->idle();
 }
 
 SimResult Cluster::run() {
-  // Dense mode ticks every cycle with every gate open.  Event mode, when
-  // nothing can happen this cycle, jumps straight to the earliest future
-  // event, batch-accounting the skipped cycles on every core so all
+  // Dense mode ticks every core every cycle with every gate open.  Event
+  // mode ticks only live cores and, when nothing can happen this cycle,
+  // jumps straight to the earliest future event, batch-accounting the
+  // skipped cycles on the live cores (parked ones settle lazily) so all
   // statistics stay bit-identical to the dense reference.
   const bool gated = cfg_.scheduler == SchedulerMode::kEventDriven;
   while (!finished()) {
@@ -471,7 +554,8 @@ SimResult Cluster::run() {
         }
         const Cycle target = std::min(next, cfg_.max_cycles);
         if (!cores_frozen_) {
-          for (cpu::Core& core : core_arena_) core.skip(now_, target);
+          live_.for_each(
+              [&](std::size_t i) { core_arena_[i].skip(now_, target); });
         }
         now_ = target;
         continue;
@@ -479,6 +563,7 @@ SimResult Cluster::run() {
     }
     tick_once(gated);
   }
+  settle_parked();
   thermal_finalize();
   obs_finalize();
   return collect_result();
@@ -503,6 +588,7 @@ void Cluster::metrics_poll() {
   // every cycle and the event loop's jump lands on the boundary exactly
   // (next_event_cycle() includes it), so `==` holds for both.
   if (now_ != next_metrics_cycle_) return;
+  settle_parked();
   metrics_->sample(now_);
   next_metrics_cycle_ = now_ + cfg_.obs.metrics_epoch_cycles;
 }
@@ -518,11 +604,15 @@ void Cluster::obs_finalize() {
 
 void Cluster::set_frozen(bool frozen) {
   if (frozen == cores_frozen_) return;
+  // Clock-held cores accrue nothing: parked cores are settled up to the
+  // freeze and restart their lazy accounting at the unfreeze.
+  if (frozen) settle_parked();
   cores_frozen_ = frozen;
   if (frozen) {
     freeze_begin_ = now_;
   } else {
     throttled_cycles_ += now_ - freeze_begin_;
+    std::fill(parked_since_.begin(), parked_since_.end(), now_);
   }
 }
 
@@ -679,6 +769,7 @@ void Cluster::watchdog_poll() {
   // signature walk is O(cores + banks) and must not run every dense-mode
   // cycle.
   if (now_ < next_watchdog_cycle_) return;
+  settle_parked();
   const fault::WatchdogVerdict verdict =
       watchdog_->poll(now_, progress_signature());
   next_watchdog_cycle_ = watchdog_->next_check_cycle();
@@ -829,6 +920,7 @@ void Cluster::update_vault_thermal() {
 }
 
 void Cluster::thermal_sample_interval() {
+  settle_parked();
   const Cycle interval = now_ - last_thermal_cycle_;
   if (interval > 0) {
     power::EnergyLedger snap;

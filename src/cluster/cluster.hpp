@@ -14,6 +14,7 @@
 
 #include "cacti/sram_model.hpp"
 #include "coherence/directory.hpp"
+#include "common/bitset.hpp"
 #include "common/interconnect.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -56,9 +57,11 @@ const char* fabric_name(Fabric f);
 /// kEventDriven fast-forwards over quiescent stretches (every component
 /// reports, via the next-event contract of DESIGN.md, the earliest cycle it
 /// can change state; when that is in the future the scheduler jumps there,
-/// batch-accounting per-cycle core statistics).  All modeled results are
-/// bit-identical to kDenseTick, the reference per-cycle loop, which is kept
-/// for differential testing.
+/// batch-accounting per-cycle core statistics), and within a cycle ticks
+/// only the cores that can act (parked cores settle their stall/spin/idle
+/// cycles lazily).  All modeled results are bit-identical to kDenseTick,
+/// the reference loop that ticks every core every cycle, which is kept for
+/// differential testing.
 enum class SchedulerMode { kEventDriven, kDenseTick };
 
 const char* scheduler_name(SchedulerMode m);
@@ -219,8 +222,9 @@ class Cluster {
 
  private:
   /// One simulated cycle: cores, coherence acks, demand injection, fabric,
-  /// L2, DRAM.  gated (the event scheduler) ticks a component only when its
-  /// next_event() is due; dense mode passes false and ticks everything.
+  /// L2, DRAM.  gated (the event scheduler) ticks only live cores and a
+  /// component only when its next_event() is due; dense mode passes false
+  /// and ticks everything.
   /// When phase timing is on, 1 tick in 64 takes steady_clock stamps
   /// between phases; clock reads never touch model state, so timing a run
   /// cannot perturb its modeled metrics.
@@ -238,9 +242,42 @@ class Cluster {
   /// Per-cycle injection phase: coherence acknowledgements first (they
   /// flow even while cores are clock-held), then the demand request of
   /// each unfrozen core.  Two calls so phase timing can attribute the
-  /// halves to different phases.
-  void inject_coherence_acks();
-  void inject_demand_requests();
+  /// halves to different phases.  gated walks only the cores with a
+  /// queued ack / the live cores; dense walks the whole arena.
+  void inject_coherence_acks(bool gated);
+  void inject_demand_requests(bool gated);
+
+  // -- active-set scheduling (event mode; DESIGN.md, "Simulation time
+  //    and the next-event contract") --
+
+  /// Arena index of an active core.
+  std::size_t arena_index(CoreId c) const {
+    return static_cast<std::size_t>(cores_[c] - core_arena_.data());
+  }
+
+  /// Tick one core, counting its transition to done.
+  void tick_core(std::size_t i);
+
+  /// Gated tick of live core i: wakes the parked waiters when i released
+  /// their barrier, and parks i when its next_event() became kNeverCycle.
+  void tick_live_core(std::size_t i);
+
+  /// Make core i live again, first accounting its parked cycles up to (not
+  /// including) `settle_to` — the first cycle it will tick.  Called before
+  /// the wake-up changes the core's state; no-op for a live core.  A wake
+  /// while the cores are clock-held settles nothing (frozen cores accrue
+  /// nothing; set_frozen() settled them at the freeze).
+  void wake(std::size_t i, Cycle settle_to);
+
+  /// Account every parked core's cycles up to now_ — before any read of
+  /// per-core statistics (watchdog, thermal interval, metrics, run end).
+  void settle_parked();
+
+  /// Settle and un-park every core (dense stepping ticks them all).
+  void unpark_all();
+
+  /// Inject core i's queued coherence acks while the fabric takes them.
+  void inject_acks_of(std::size_t i);
 
   /// Minimum over every component's next_event(now_); never below now_.
   /// The run-loop boundary fields (next_*_cycle_, kNeverCycle while their
@@ -335,11 +372,23 @@ class Cluster {
   std::unique_ptr<workload::Workload> workload_;
   std::vector<std::unique_ptr<workload::SyntheticTrace>> traces_;
   /// Active cores live contiguously in thread order (the order every
-  /// per-core loop and FP accumulation uses), so the per-cycle core sweep
-  /// walks a flat arena instead of chasing per-core heap allocations.
+  /// per-core loop and FP accumulation uses), so per-core walks visit a
+  /// flat arena instead of chasing per-core heap allocations.
   std::vector<cpu::Core> core_arena_;
   std::vector<cpu::Core*> cores_;  ///< by CoreId into the arena; null if gated
   std::vector<CoreId> active_cores_;
+
+  /// Bitsets over arena indices, walked in ascending (thread) order.  live_:
+  /// the cores the event scheduler ticks; a core whose next_event() reads
+  /// kNeverCycle after its tick is *parked* (bit clear: wait-mem,
+  /// wait-ifetch, done, or at an unreleased barrier) and accrues its
+  /// cycles from parked_since_ on lazily, via wake() or settle_parked().
+  /// acks_: cores with a queued coherence acknowledgement.
+  WordBitset live_, acks_;
+  std::vector<Cycle> parked_since_;  ///< first unaccounted cycle, by index
+  std::vector<std::size_t> barrier_waiters_;  ///< parked at the open barrier
+  std::size_t cores_done_ = 0;    ///< keeps finished() O(1)
+  std::size_t acks_pending_ = 0;  ///< set bits in acks_
 
   Cycle now_ = 0;
   Histogram l2_latency_{1, 256};

@@ -78,7 +78,10 @@ void Core::skip(Cycle from, Cycle to) {
       stats_.stall_cycles += delta;
       return;
     case State::kAtBarrier:
-      assert(!barriers_->released(barrier_id_));
+      // Spinning ends at the release: the last spin cycle a waiter can see
+      // is the releasing cycle itself (when it ticks before the releaser).
+      assert(!barriers_->released(barrier_id_) ||
+             to <= barriers_->release_cycle(barrier_id_) + 1);
       stats_.spin_cycles += delta;
       return;
     case State::kCompute:
@@ -121,7 +124,7 @@ void Core::process_next_record(Cycle now) {
         return;
 
       case TraceKind::kBarrier:
-        barriers_->arrive(r.barrier_id);
+        barriers_->arrive(r.barrier_id, now);
         barrier_id_ = r.barrier_id;
         state_ = State::kAtBarrier;
         ++stats_.busy_cycles;  // executing the barrier arrival

@@ -74,7 +74,9 @@ class Core {
   /// Batch-account the cycles [from, to) exactly as `to - from` dense
   /// tick() calls would, for states where ticks are pure stat accrual
   /// (stall/spin/idle) or a deterministic compute burn-down.  The caller
-  /// (the cluster scheduler) must guarantee to <= next_event(from).
+  /// (the cluster scheduler) must guarantee to <= next_event(from), or —
+  /// when settling a parked core at its wake-up — that the state has not
+  /// yet changed and no tick in [from, to) could have changed it.
   void skip(Cycle from, Cycle to);
 
   /// The L2 request (if any) waiting for an interconnect slot.  The cluster
@@ -109,6 +111,9 @@ class Core {
   void warm_l1i(Addr base, std::size_t bytes);
 
   bool done() const { return state_ == State::kDone; }
+  /// Waiting at a barrier (released or not), and which one.
+  bool at_barrier() const { return state_ == State::kAtBarrier; }
+  std::uint32_t barrier_id() const { return barrier_id_; }
   /// Human-readable state label for watchdog / deadlock diagnostics.
   const char* state_name() const;
   CoreId id() const { return id_; }

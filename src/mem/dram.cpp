@@ -25,18 +25,20 @@ const char* dram_preset_name(DramPreset preset) {
 }
 
 DramBackend::DramBackend(const DramConfig& cfg, std::size_t num_requesters)
-    : cfg_(cfg), queues_(num_requesters) {
+    : cfg_(cfg), queues_(num_requesters), busy_(num_requesters) {
   if (num_requesters == 0) throw std::invalid_argument("need >= 1 requester");
 }
 
 void DramBackend::read(std::uint32_t requester, Addr addr, Cycle now, Callback cb) {
   queues_.at(requester).push_back(
       Txn{requester, addr, /*is_write=*/false, now, std::move(cb)});
+  busy_.set(requester);
   ++pending_count_;
 }
 
 void DramBackend::write(std::uint32_t requester, Addr addr, Cycle now) {
   queues_.at(requester).push_back(Txn{requester, addr, /*is_write=*/true, now, {}});
+  busy_.set(requester);
   ++pending_count_;
 }
 
@@ -69,34 +71,41 @@ void DramBackend::tick(Cycle now) {
   // transaction enqueued with a future cycle (the L2 dates miss refills
   // after the tag check) only competes once that cycle has arrived.
   if (bus_free_at_ > now || pending_count_ == 0) return;
+  // Visit the non-empty queues from rr_next_ up, then from 0 — the order
+  // of a full (rr_next_ + i) % n sweep, minus the empty queues.
   const std::size_t n = queues_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t q = (rr_next_ + i) % n;
-    if (queues_[q].empty() || queues_[q].front().enqueued > now) continue;
-    Txn txn = std::move(queues_[q].front());
-    queues_[q].pop_front();
-    --pending_count_;
-    rr_next_ = (q + 1) % n;
-
-    stats_.total_wait_cycles += now - txn.enqueued;
-    bus_free_at_ = now + cfg_.bus_transfer_cycles;
-
-    // Channel serialisation at the controller.
-    const Cycle start = std::max(now + cfg_.bus_transfer_cycles, channel_free_at_);
-    channel_free_at_ = start + cfg_.channel_burst_cycles;
-    stats_.dynamic_energy_pj += cfg_.energy_per_access_pj;
-
-    if (txn.is_write) {
-      ++stats_.writes;
-      // Posted: occupies bandwidth only.
-    } else {
-      ++stats_.reads;
-      const Cycle done = start + access_latency_cycles(txn.addr);
-      if (service_obs_) service_obs_(done - txn.enqueued);
-      completions_.push(Completion{done, txn.requester, txn.addr, std::move(txn.cb)});
-      ++in_flight_;
+  const auto first_ready = [&](std::size_t from, std::size_t to) {
+    for (std::size_t q = busy_.next(from); q < to; q = busy_.next(q + 1)) {
+      if (queues_[q].front().enqueued <= now) return q;
     }
-    break;  // one bus grant per cycle window
+    return n;
+  };
+  std::size_t q = first_ready(rr_next_, n);
+  if (q == n) q = first_ready(0, rr_next_);
+  if (q == n) return;
+  Txn txn = std::move(queues_[q].front());
+  queues_[q].pop_front();
+  if (queues_[q].empty()) busy_.reset(q);
+  --pending_count_;
+  rr_next_ = (q + 1) % n;
+
+  stats_.total_wait_cycles += now - txn.enqueued;
+  bus_free_at_ = now + cfg_.bus_transfer_cycles;
+
+  // Channel serialisation at the controller.
+  const Cycle start = std::max(now + cfg_.bus_transfer_cycles, channel_free_at_);
+  channel_free_at_ = start + cfg_.channel_burst_cycles;
+  stats_.dynamic_energy_pj += cfg_.energy_per_access_pj;
+
+  if (txn.is_write) {
+    ++stats_.writes;
+    // Posted: occupies bandwidth only.
+  } else {
+    ++stats_.reads;
+    const Cycle done = start + access_latency_cycles(txn.addr);
+    if (service_obs_) service_obs_(done - txn.enqueued);
+    completions_.push(Completion{done, txn.requester, txn.addr, std::move(txn.cb)});
+    ++in_flight_;
   }
 }
 
@@ -108,9 +117,10 @@ Cycle DramBackend::next_event(Cycle now) const {
   if (pending_count_ > 0) {
     // Per-requester FIFOs grant strictly from the head; the earliest
     // grant is bounded by the bus and the earliest head arrival.
-    for (const auto& q : queues_) {
-      if (q.empty()) continue;
-      next = std::min(next, std::max({bus_free_at_, q.front().enqueued, now}));
+    for (std::size_t q = busy_.next(0); q != WordBitset::npos;
+         q = busy_.next(q + 1)) {
+      next = std::min(next,
+                      std::max({bus_free_at_, queues_[q].front().enqueued, now}));
       if (next <= now) break;
     }
   }

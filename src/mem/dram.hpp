@@ -17,6 +17,7 @@
 #include <queue>
 #include <vector>
 
+#include "common/bitset.hpp"
 #include "common/types.hpp"
 #include "mem/memory_backend.hpp"
 #include "obs/metrics.hpp"
@@ -98,6 +99,9 @@ class DramBackend final : public MemoryBackend {
 
   DramConfig cfg_;
   std::vector<std::deque<Txn>> queues_;  ///< one per requester (Miss bus RR)
+  /// Bitset of non-empty queues: arbitration and next_event() visit only
+  /// requesters with work, not all banks + cores (3072 at 1024 cores).
+  WordBitset busy_;
   std::size_t rr_next_ = 0;
   std::size_t pending_count_ = 0;
   Cycle bus_free_at_ = 0;

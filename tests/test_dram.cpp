@@ -182,6 +182,51 @@ TEST(Dram, EnergyAccounted) {
                    2.0 * cfg_200().energy_per_access_pj);
 }
 
+// More requesters than one 64-bit word of the busy-queue bitset: the
+// round-robin must still visit queues in (rr_next_ + i) % n order, across
+// word boundaries and across the wrap back to requester 0.
+TEST(Dram, RoundRobinWrapsAcrossBitsetWords) {
+  DramBackend dram(cfg_200(), 130);  // words 0-63, 64-127, 128-129
+  std::vector<std::uint32_t> grants;
+  const auto read = [&](std::uint32_t r, Cycle dated) {
+    dram.read(r, 0x1000 * r, dated,
+              [&grants](std::uint32_t req, Addr, Cycle) { grants.push_back(req); });
+  };
+  read(99, 0);
+  dram.tick(0);  // grants 99 alone: the round-robin resumes at 100
+  // Pending on both sides of rr_next_ = 100, two of them at requester 100,
+  // and one dated far in the future that is passed over until it is due.
+  for (std::uint32_t r : {129u, 5u, 64u, 100u, 127u, 0u, 63u, 100u}) read(r, 1);
+  read(110, 3'000);
+  for (Cycle t = 1; t <= 4'000; ++t) dram.tick(t);
+  EXPECT_EQ(grants, (std::vector<std::uint32_t>{99, 100, 127, 129, 0, 5, 63, 64,
+                                                100, 110}));
+  EXPECT_TRUE(dram.idle());
+}
+
+TEST(Dram, NextEventIsTheEarliestHeadAcrossBitsetWords) {
+  DramBackend dram(cfg_200(), 200);
+  // Heads dated in the future, one per word: the per-queue minimum of
+  // max(bus_free, head, now) is the earliest head, 300.
+  dram.write(150, 0x100, 900);
+  dram.write(7, 0x200, 400);
+  dram.write(64, 0x300, 650);
+  dram.write(199, 0x400, 300);
+  EXPECT_EQ(dram.next_event(0), 300u);
+  EXPECT_EQ(dram.next_event(299), 300u);
+  for (Cycle t = 0; t <= 300; ++t) dram.tick(t);  // grants 199; bus busy to 302
+  EXPECT_EQ(dram.next_event(301), 400u);
+  // A due head behind a busy bus waits for the bus.
+  dram.write(3, 0x500, 301);
+  EXPECT_EQ(dram.next_event(301), 302u);
+  for (Cycle t = 301; t <= 302; ++t) dram.tick(t);  // grants 3
+  EXPECT_EQ(dram.next_event(303), 400u);
+  for (Cycle t = 303; t <= 900; ++t) dram.tick(t);
+  EXPECT_TRUE(dram.idle());
+  EXPECT_EQ(dram.next_event(901), kNeverCycle);
+  EXPECT_EQ(dram.stats().writes, 5u);
+}
+
 TEST(Dram, RejectsZeroRequesters) {
   EXPECT_THROW(DramBackend(cfg_200(), 0), std::invalid_argument);
 }

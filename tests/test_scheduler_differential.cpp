@@ -4,6 +4,8 @@
 // cycles, latency histograms, every counter and every energy ledger entry.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "cluster/cluster.hpp"
 
 namespace mot3d::cluster {
@@ -221,6 +223,94 @@ TEST(SchedulerDifferential, OpenPagePolicyBitIdentical) {
   EXPECT_EQ(d.dram.page_hits, e.dram.page_hits);
   EXPECT_EQ(d.dram.page_misses, e.dram.page_misses);
   EXPECT_GT(d.dram.page_hits + d.dram.page_misses, 0u);
+}
+
+// -- active-set scheduling at 256 cores: four 64-bit words of live bits --
+//
+// The event scheduler ticks only live cores and settles a parked core's
+// stall/spin/idle cycles when it wakes or when its stats are read; these
+// runs compare every per-core counter against the dense full walk.
+
+core::PowerState full_256() {
+  return core::PowerState("Full256x512", 256, 256, 512, 512);
+}
+
+void expect_same_per_core_256(const char* app) {
+  const ClusterConfig dense =
+      cfg_for(app, Fabric::kMot, full_256(), mem::DramPreset::kDdr3_200ns,
+              SchedulerMode::kDenseTick);
+  ClusterConfig event = dense;
+  event.scheduler = SchedulerMode::kEventDriven;
+  expect_same_result(Cluster(dense).run(), Cluster(event).run());
+}
+
+TEST(SchedulerDifferential, PerCore256Migratory) {
+  expect_same_per_core_256("migratory");
+}
+
+TEST(SchedulerDifferential, PerCore256AllToAll) {
+  expect_same_per_core_256("all_to_all");
+}
+
+TEST(SchedulerDifferential, PerCore256ProducerConsumer) {
+  expect_same_per_core_256("producer_consumer");
+}
+
+TEST(SchedulerDifferential, PerCore256ReadMostly) {
+  expect_same_per_core_256("read_mostly");
+}
+
+// Metrics epochs and watchdog checks read per-core statistics mid-run, so
+// every parked core is settled at each boundary; the sampled rows (which
+// include the spin-energy ledger) must match the dense run's row for row.
+TEST(SchedulerDifferential, PerCore256SettlesAtMetricsEpochsAndWatchdogChecks) {
+  ClusterConfig dense = cfg_for("producer_consumer", Fabric::kMot, full_256(),
+                                mem::DramPreset::kDdr3_200ns,
+                                SchedulerMode::kDenseTick);
+  dense.obs.metrics = true;
+  dense.obs.metrics_epoch_cycles = 1'000;
+  dense.watchdog.enabled = true;
+  dense.watchdog.check_interval_cycles = 2'500;
+  ClusterConfig event = dense;
+  event.scheduler = SchedulerMode::kEventDriven;
+  const SimResult d = Cluster(dense).run();
+  const SimResult e = Cluster(event).run();
+  expect_same_result(d, e);
+  ASSERT_NE(d.metrics, nullptr);
+  ASSERT_NE(e.metrics, nullptr);
+  EXPECT_GT(d.metrics->sample_count(), 3u);
+  std::ostringstream dj, ej;
+  d.metrics->write_json(dj);
+  e.metrics->write_json(ej);
+  EXPECT_EQ(dj.str(), ej.str());
+}
+
+// Barrier releases across bitset words.  Each serial phase runs on thread
+// 0 (arena index 0): it releases the barrier while the 255 waiters sit
+// parked above it in words 0-3, all of which must tick in the releasing
+// cycle.  The parallel phases carry heavy random imbalance, so their
+// releasing core lands in words 1-3 too, with waiters below it that must
+// tick one cycle later.  Compute-heavy work makes barrier spin the bulk of
+// every core's cycles, so an off-by-one settlement shows in spin_cycles.
+TEST(SchedulerDifferential, PerCore256BarrierReleaseAcrossBitsetWords) {
+  workload::AppProfile app = workload::profile_by_name("fft");
+  app.name = "barrier_words";
+  app.serial_fraction = 0.2;
+  app.phases = 12;
+  app.imbalance = 0.9;
+  app.mem_fraction = 0.05;
+  ClusterConfig dense = make_paper_config(app, Fabric::kMot, full_256(),
+                                          mem::DramPreset::kDdr3_200ns, 0.02, 7);
+  dense.scheduler = SchedulerMode::kDenseTick;
+  ClusterConfig event = dense;
+  event.scheduler = SchedulerMode::kEventDriven;
+  const SimResult d = Cluster(dense).run();
+  const SimResult e = Cluster(event).run();
+  expect_same_result(d, e);
+  ASSERT_EQ(d.cores.size(), 256u);
+  for (std::size_t word = 0; word < 4; ++word) {
+    EXPECT_GT(d.cores[word * 64 + 63].spin_cycles, 0u) << "word " << word;
+  }
 }
 
 TEST(SchedulerDifferential, EventModeIsTheDefault) {
