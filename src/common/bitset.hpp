@@ -1,6 +1,6 @@
 // Word-packed bitset with an ascending set-bit cursor, for the sparse
 // per-cycle walks of the scale-out hot path (live cores, queued coherence
-// acks, busy DRAM requesters).
+// acks, busy DRAM requesters, NoC routers/buses/NIs holding flits).
 #pragma once
 
 #include <bit>
@@ -16,6 +16,9 @@ class WordBitset {
   static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
 
   explicit WordBitset(std::size_t size = 0) : words_((size + 63) / 64, 0) {}
+
+  /// Grow to `size` bits; the new bits are clear.
+  void resize(std::size_t size) { words_.resize((size + 63) / 64, 0); }
 
   bool test(std::size_t i) const { return ((words_[i >> 6] >> (i & 63)) & 1) != 0; }
   void set(std::size_t i) { words_[i >> 6] |= std::uint64_t{1} << (i & 63); }

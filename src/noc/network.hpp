@@ -15,16 +15,22 @@
 // the "dTDMA bus" of ref [2]; in the Bus-Tree topology each bus is shared
 // by eight stacked banks, which is exactly the serialisation that makes it
 // the worst performer in the paper's Fig. 6.
+//
+// Simulation cost follows the flits in flight, not the topology: tick() and
+// next_event() walk only the routers, buses and NIs that hold flits (one
+// occupancy bitset each, ascending), and each output port arbitrates from
+// a per-VC mask of the inputs whose front flit is a head routed to it.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "common/bitset.hpp"
+#include "common/ring_buffer.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "noc/flit.hpp"
@@ -76,7 +82,7 @@ class NocNetwork {
   explicit NocNetwork(const NocConfig& cfg);
 
   // ---- construction (builders only) ----
-  /// Adds a router with `num_ports` ports; returns its id.
+  /// Adds a router with `num_ports` (at most 32) ports; returns its id.
   std::uint32_t add_router(std::size_t num_ports);
   /// Wire router output (r, port) to `target`.
   void set_output(std::uint32_t router, std::uint32_t port, Target target);
@@ -128,26 +134,37 @@ class NocNetwork {
 
  private:
   struct InPort {
-    std::array<std::deque<Flit>, kNumVcs> q;  ///< one buffer per virtual net
+    std::array<RingBuffer<Flit>, kNumVcs> q;  ///< one buffer per virtual net
+    /// Output port the front flit requests, valid while that flit is a head.
+    std::array<std::uint8_t, kNumVcs> head_out{};
   };
   struct OutPort {
     Target target;
     std::array<int, kNumVcs> locked_in{-1, -1};  ///< wormhole lock per VC
+    /// Per VC, bit i set iff input i's front flit is a head routed here.
+    std::array<std::uint32_t, kNumVcs> head_req{};
     std::uint32_t rr = 0;      ///< round-robin pointer over inputs
     std::uint8_t vc_rr = 0;    ///< round-robin between virtual networks
+
+    /// No lock and no head request on any VC: no flit can leave this cycle.
+    bool idle() const {
+      for (std::size_t vc = 0; vc < kNumVcs; ++vc) {
+        if (locked_in[vc] >= 0 || head_req[vc] != 0) return false;
+      }
+      return true;
+    }
   };
   struct Router {
     std::vector<InPort> in;
     std::vector<OutPort> out;
     std::vector<std::uint32_t> route;  ///< per endpoint -> out port
+    std::size_t flits = 0;   ///< buffered over all inputs and VCs
     unsigned throttle = 0;   ///< fault: extra cycles per moved flit (0 = healthy)
     Cycle busy_until = 0;    ///< fault: serialisation pacing
   };
   struct Bus {
-    struct Slot {
-      std::deque<Flit> q;
-    };
-    std::vector<Slot> slots;
+    std::vector<RingBuffer<Flit>> slots;  ///< one queue per attachment
+    std::size_t flits = 0;  ///< queued over all slots
     std::uint32_t rr = 0;
     int locked_slot = -1;  ///< wormhole: slot owning the bus until tail
     Cycle busy_until = 0;  ///< dTDMA slot pacing
@@ -158,15 +175,22 @@ class NocNetwork {
   struct EndpointNi {
     Target injection;                      ///< router port or bus slot
     std::optional<std::uint32_t> bus_slot; ///< slot id when injecting via bus
-    std::deque<Flit> inject_q;
-    std::size_t assembled = 0;             ///< flits of the arriving packet
+    RingBuffer<Flit> inject_q;
     static constexpr std::size_t kMaxInjectQ = 64;
   };
 
-  bool deliver_to_target(const Target& t, Flit flit, Cycle now);
-  void eject(NodeId e, const Flit& flit, Cycle now);
-  bool router_in_has_space(std::uint32_t router, std::uint32_t port,
-                           std::uint8_t vc) const;
+  bool deliver_to_target(const Target& t, const Flit& flit, Cycle now);
+  void eject(const Flit& flit, Cycle now);
+  /// Buffer `flit` at router input (ri, port) as ready at `ready_at`;
+  /// false (nothing changes) when that input's VC buffer is full.
+  bool router_push(std::uint32_t ri, std::uint32_t port, Flit flit, Cycle ready_at);
+  void router_pop(std::uint32_t ri, std::uint32_t port, std::uint8_t vc);
+  /// Record the request of a flit that just became the front of an input.
+  static void note_front(Router& r, std::uint32_t port, const Flit& front);
+  /// Queue `flit` in bus slot (bi, slot); false when the slot is full.
+  bool bus_push(std::uint32_t bi, std::uint32_t slot, Flit flit, Cycle ready_at);
+  void bus_step(std::uint32_t bi, Cycle now);
+  void router_step(std::uint32_t ri, Cycle now);
   /// Try to move one flit of virtual network `vc` through output `po` of
   /// router `ri`; returns true if a flit moved.
   bool router_output_step(std::uint32_t ri, std::uint32_t po, std::uint8_t vc,
@@ -180,6 +204,11 @@ class NocNetwork {
   Delivery delivery_;
   NocTransportStats stats_;
   double total_link_mm_ = 0.0;
+  // Occupancy: components holding flits, walked ascending by tick() and
+  // next_event().  A component outside its set cannot move a flit.
+  WordBitset busy_routers_;  ///< routers with buffered flits
+  WordBitset busy_buses_;    ///< buses with queued flits
+  WordBitset busy_nis_;      ///< NIs with non-empty inject queues
 };
 
 /// Builders for the paper's three baselines (16 cores, 32 banks over two

@@ -222,6 +222,30 @@ TEST(FaultCluster, SchedulersAgreeBitForBitUnderSeededFaults) {
   }
 }
 
+TEST(FaultCluster, BusFabricSchedulersAgreeBitForBitUnderRouterThrottling) {
+  // The bus fabrics' half of the differential above: seeded link degrades
+  // throttle Bus-Mesh and Bus-Tree routers mid-run (crossbar serialisation
+  // plus TSV-bus slot pacing), and both schedulers must still agree.
+  FaultConfig faults = FaultConfig::from_envelope({true, 8.0, 0.0, 202});
+  faults.horizon_cycles = 5'000;
+  for (cluster::Fabric fabric :
+       {cluster::Fabric::kHybridBusMesh, cluster::Fabric::kHybridBusTree}) {
+    SCOPED_TRACE(cluster::fabric_name(fabric));
+    cluster::ClusterConfig cfg = paper_cfg("fft", fabric);
+    cfg.fault = faults;
+
+    cfg.scheduler = cluster::SchedulerMode::kEventDriven;
+    const cluster::SimResult event = cluster::Cluster(cfg).run();
+    cfg.scheduler = cluster::SchedulerMode::kDenseTick;
+    const cluster::SimResult dense = cluster::Cluster(cfg).run();
+
+    EXPECT_EQ(event.fault.outcome, "degraded");
+    EXPECT_GT(event.cycles, faults.horizon_cycles);
+    EXPECT_EQ(event.fault.injected, 4u);  // all four throttles landed mid-run
+    expect_same_run(event, dense);
+  }
+}
+
 TEST(FaultCluster, EmptyScheduleIsByteIdenticalToFaultFreeRun) {
   // Enabling the subsystem with nothing to inject must not perturb the
   // model: the watchdog and the fault poll only split event-horizon skips.
