@@ -588,7 +588,9 @@ struct ScaleCell {
   double wall_seconds = 0.0;
   double cycles_per_second = 0.0;
   /// Host-side wall seconds attributed per simulator phase (sampled, see
-  /// obs::PhaseTimer).  Telemetry only: never compared against a baseline.
+  /// obs::PhaseTimer), and the Cluster construction before the run, which
+  /// wall_seconds includes.  Telemetry only: never compared against a
+  /// baseline.
   obs::PhaseSeconds phases;
   std::string error;  ///< non-empty if the simulation failed
 };
@@ -661,6 +663,7 @@ sim::JsonObject scale_cell_to_json(const ScaleCell& c) {
       .set("cycles", c.cycles)
       .set("instructions", c.instructions)
       .set("wall_seconds", c.wall_seconds)
+      .set("setup_seconds", c.phases.setup)
       .set("cycles_per_second", c.cycles_per_second);
   // Telemetry-only extension: compare_scale_baseline reads known keys
   // only, so old baselines stay compatible.
@@ -830,7 +833,7 @@ int cmd_scale(const CliArgs& cli) {
             << cli.patterns.size() << " pattern(s), scale=" << opt.scale
             << ", scheduler=" << cluster::scheduler_name(opt.scheduler) << "\n";
   std::cout << "  app                 cores   banks        cycles  "
-            << "   wall_s      cycles/s\n";
+            << "   wall_s    setup_s      cycles/s\n";
   for (const std::string& app : cli.patterns) {
     for (const std::size_t cores : cli.cores) {
       ScaleCell cell = run_scale_cell(opt, app, cores);
@@ -839,10 +842,11 @@ int cmd_scale(const CliArgs& cli) {
                   << "\n";
         ++failed;
       } else {
-        std::printf("  %-18s %6zu  %6zu  %12llu  %9.3f  %12.0f\n",
+        std::printf("  %-18s %6zu  %6zu  %12llu  %9.3f  %9.3f  %12.0f\n",
                     cell.app.c_str(), cell.cores, cell.banks,
                     static_cast<unsigned long long>(cell.cycles),
-                    cell.wall_seconds, cell.cycles_per_second);
+                    cell.wall_seconds, cell.phases.setup,
+                    cell.cycles_per_second);
       }
       cells.push_back(std::move(cell));
     }

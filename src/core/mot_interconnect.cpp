@@ -17,15 +17,15 @@ MotInterconnect::MotInterconnect(const MotTimingModel& timing,
       state_(initial),
       state_timing_(timing.timing(initial)),
       routing_(initial.total_banks()),
+      arb_gating_(initial.total_cores()),
+      bank_rr_words_(ArbitrationTree::rr_words(initial.total_cores())),
+      bank_rr_(initial.total_banks() * bank_rr_words_, 0),
+      arb_scratch_(initial.total_cores()),
       core_slot_(initial.total_cores()),
       bank_free_at_(initial.total_banks(), 0),
       bank_waiters_(initial.total_banks()),
       pending_banks_((initial.total_banks() + 63) / 64, 0),
       bank_fault_penalty_(initial.total_banks(), 0) {
-  bank_arbiters_.reserve(initial.total_banks());
-  for (std::size_t b = 0; b < initial.total_banks(); ++b) {
-    bank_arbiters_.emplace_back(initial.total_cores());
-  }
   configure(initial);
 }
 
@@ -33,7 +33,7 @@ void MotInterconnect::configure(const PowerState& state) {
   state_ = state;
   state_timing_ = timing_.timing(state);
   routing_.configure(state);
-  for (ArbitrationTree& at : bank_arbiters_) at.configure(state);
+  arb_gating_.configure(state);
   // Rebuild the waiter index from the slots.  Reconfiguration normally
   // happens drained (no valid slots); in-flight requests keep the physical
   // bank they were routed to at injection, exactly as before.
@@ -130,9 +130,9 @@ void MotInterconnect::tick(Cycle now) {
         if (core_slot_[c].eligible <= now) candidates_.push_back(c);
       }
       if (candidates_.empty()) continue;
-      const std::optional<CoreId> winner =
-          bank_arbiters_[b].arbitrate_sparse(candidates_.data(),
-                                             candidates_.size());
+      const std::optional<CoreId> winner = ArbitrationTree::arbitrate_sparse(
+          arb_gating_, &bank_rr_[b * bank_rr_words_], arb_scratch_,
+          candidates_.data(), candidates_.size());
       assert(winner.has_value());
       InFlight& s = core_slot_[*winner];
       stats_.arbitration_wait_cycles += now - s.eligible;

@@ -98,7 +98,14 @@ class MotInterconnect final : public Interconnect {
 
   RoutingTree routing_;                    ///< shared resolver (per-core trees
                                            ///< are identically configured)
-  std::vector<ArbitrationTree> bank_arbiters_;  ///< one per physical bank
+  /// Per-bank arbitration trees: one gating map shared by every bank (it
+  /// depends only on the power state), each bank's round-robin bits
+  /// (bank_rr_words_ words per bank, kept across configure()), and one
+  /// arbitrate_sparse scratch, since tick() grants one bank at a time.
+  ArbitrationGating arb_gating_;
+  std::size_t bank_rr_words_;
+  std::vector<std::uint64_t> bank_rr_;
+  ArbitrationScratch arb_scratch_;
   std::vector<InFlight> core_slot_;        ///< one outstanding per core
   std::vector<Cycle> bank_free_at_;        ///< circuit hold per bank
   RingBuffer<PendingResponse> responses_;  ///< constant-delay return path

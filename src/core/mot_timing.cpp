@@ -87,14 +87,13 @@ double MotTimingModel::response_energy_pj(const PowerState& state,
 }
 
 std::size_t MotTimingModel::powered_switches(const PowerState& state) const {
-  // Exact structural count: build scratch trees and configure them (cheap:
-  // at most total_banks-1 nodes each).  Request network: one routing tree
-  // per active core + one arbitration tree per active bank; the response
-  // network mirrors it.
+  // Exact structural count: build scratch routing trees and arbitration
+  // gating maps and configure them (cheap: at most total_banks-1 nodes
+  // each).  Request network: one routing tree per active core + one
+  // arbitration tree per active bank; the response network mirrors it.
   RoutingTree rt(state.total_banks());
   const std::size_t rt_powered = rt.configure(state);
-  ArbitrationTree at(state.total_cores());
-  const std::size_t at_powered = at.configure(state);
+  const std::size_t at_powered = ArbitrationGating(state.total_cores()).configure(state);
 
   RoutingTree resp_rt(state.total_cores());
   // Response routing is by core index; its don't-care levels follow the
@@ -102,8 +101,8 @@ std::size_t MotTimingModel::powered_switches(const PowerState& state) const {
   const PowerState swapped("resp", state.total_banks(), state.active_banks(),
                            state.total_cores(), state.active_cores());
   const std::size_t resp_rt_powered = resp_rt.configure(swapped);
-  ArbitrationTree resp_at(state.total_banks());
-  const std::size_t resp_at_powered = resp_at.configure(swapped);
+  const std::size_t resp_at_powered =
+      ArbitrationGating(state.total_banks()).configure(swapped);
 
   return state.active_cores() * rt_powered + state.active_banks() * at_powered +
          state.active_banks() * resp_rt_powered +

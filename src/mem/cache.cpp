@@ -15,21 +15,20 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
   if (!is_pow2(cfg.num_sets())) {
     throw std::invalid_argument("set count must be a power of two");
   }
+  if (cfg.num_lines() >= kUnfilled) {
+    throw std::invalid_argument("cache holds too many lines");
+  }
   line_shift_ = log2_exact(cfg.line_bytes);
-  ways_.resize(cfg.num_sets() * cfg.associativity);
-}
-
-std::size_t Cache::set_of(Addr line) const {
-  const Addr line_id = line >> line_shift_;
-  return static_cast<std::size_t>((line_id >> cfg_.index_shift) &
-                                  (cfg_.num_sets() - 1));
+  set_mask_ = static_cast<Addr>(cfg.num_sets() - 1);
+  set_base_.assign(cfg.num_sets(), kUnfilled);
 }
 
 Cache::Way* Cache::find(Addr line) {
-  const std::size_t base = set_of(line) * cfg_.associativity;
+  const std::uint32_t base = set_base_[set_of(line)];
+  if (base == kUnfilled) return nullptr;
+  Way* ways = &pool_[base];
   for (std::size_t i = 0; i < cfg_.associativity; ++i) {
-    Way& w = ways_[base + i];
-    if (w.valid && w.line == line) return &w;
+    if (ways[i].valid && ways[i].line == line) return &ways[i];
   }
   return nullptr;
 }
@@ -76,10 +75,16 @@ InsertResult Cache::insert(Addr addr, bool dirty, bool shared) {
     existing->shared = shared && !existing->dirty;
     return result;
   }
-  const std::size_t base = set_of(line) * cfg_.associativity;
+  std::uint32_t& base = set_base_[set_of(line)];
+  if (base == kUnfilled) {
+    // First fill of this set: its ways start out invalid, so way 0 is the
+    // victim, as the first invalid way of a dense array would be.
+    base = static_cast<std::uint32_t>(pool_.size());
+    pool_.resize(pool_.size() + cfg_.associativity);
+  }
   Way* victim = nullptr;
   for (std::size_t i = 0; i < cfg_.associativity; ++i) {
-    Way& w = ways_[base + i];
+    Way& w = pool_[base + i];
     if (!w.valid) {
       victim = &w;
       break;
@@ -93,6 +98,8 @@ InsertResult Cache::insert(Addr addr, bool dirty, bool shared) {
     result.evicted_line_addr = victim->line;
     ++stats_.evictions;
     if (victim->dirty) ++stats_.dirty_evictions;
+  } else {
+    ++valid_lines_;
   }
   victim->line = line;
   victim->valid = true;
@@ -117,12 +124,16 @@ bool Cache::line_shared(Addr addr) const {
 
 std::vector<Addr> Cache::flush() {
   std::vector<Addr> dirty;
-  for (Way& w : ways_) {
-    if (w.valid && w.dirty) dirty.push_back(w.line);
-    w.valid = false;
-    w.dirty = false;
-    w.shared = false;
+  for (std::uint32_t& base : set_base_) {
+    if (base == kUnfilled) continue;
+    for (std::size_t i = 0; i < cfg_.associativity; ++i) {
+      const Way& w = pool_[base + i];
+      if (w.valid && w.dirty) dirty.push_back(w.line);
+    }
+    base = kUnfilled;
   }
+  pool_.clear();
+  valid_lines_ = 0;
   return dirty;
 }
 
@@ -130,21 +141,16 @@ std::optional<bool> Cache::invalidate(Addr addr) {
   Way* w = find(line_of(addr));
   if (w == nullptr) return std::nullopt;
   const bool was_dirty = w->dirty;
+  --valid_lines_;
   w->valid = false;
   w->dirty = false;
   w->shared = false;
   return was_dirty;
 }
 
-std::size_t Cache::valid_lines() const {
-  std::size_t n = 0;
-  for (const Way& w : ways_) n += w.valid ? 1 : 0;
-  return n;
-}
-
 std::size_t Cache::dirty_lines() const {
   std::size_t n = 0;
-  for (const Way& w : ways_) n += (w.valid && w.dirty) ? 1 : 0;
+  for (const Way& w : pool_) n += (w.valid && w.dirty) ? 1 : 0;
   return n;
 }
 

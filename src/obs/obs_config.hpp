@@ -41,9 +41,11 @@ struct ObsSummary {
 };
 
 /// Host wall-seconds attributed to simulator phases (extrapolated from
-/// a 1-in-64 tick sample; see PhaseTimer).
+/// a 1-in-64 tick sample; see PhaseTimer), plus the Cluster construction
+/// that precedes the run.
 struct PhaseSeconds {
   bool valid = false;
+  double setup = 0.0;      ///< Cluster construction, timed whole (not sampled)
   double workload = 0.0;   ///< core ticks (trace replay, L1)
   double coherence = 0.0;  ///< coherence ack injection
   double fabric = 0.0;     ///< demand injection + interconnect tick/drain

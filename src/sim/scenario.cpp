@@ -1,6 +1,7 @@
 #include "sim/scenario.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -400,7 +401,16 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const ScenarioOptions& op
   tasks.reserve(out.runs.size());
   for (const ScenarioRun& run : out.runs) {
     const cluster::ClusterConfig cfg = make_run_config(run, opt);
-    tasks.push_back([cfg] { return cluster::Cluster(cfg).run(); });
+    tasks.push_back([cfg] {
+      const auto t0 = std::chrono::steady_clock::now();
+      cluster::Cluster cluster(cfg);
+      const auto t1 = std::chrono::steady_clock::now();
+      cluster::SimResult r = cluster.run();
+      if (r.phase_seconds.valid) {
+        r.phase_seconds.setup = std::chrono::duration<double>(t1 - t0).count();
+      }
+      return r;
+    });
   }
   // Isolated execution: one wedged or timed-out run becomes that run's
   // error string; every other cell still completes and serialises.

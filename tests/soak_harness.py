@@ -221,7 +221,8 @@ REQUIRED_REPORT_KEYS = ("bench", "scheduler", "scale", "seed", "cells",
                         "total_wall_seconds", "total_simulated_cycles",
                         "cycles_per_second")
 REQUIRED_CELL_KEYS = ("app", "cores", "banks", "state", "cycles",
-                      "instructions", "wall_seconds", "cycles_per_second")
+                      "instructions", "wall_seconds", "setup_seconds",
+                      "cycles_per_second")
 
 # A deliberately tiny grid: the soak harness checks the *contract* of
 # `mot3d_experiments scale` (report shape, exit codes), not its throughput

@@ -1,6 +1,7 @@
 // Differential test: the production Cache against an obviously-correct
 // reference model (std::list-based true LRU with full-address tags) under
-// long randomized access/insert/flush sequences, across geometries.
+// long randomized access/insert/invalidate/flush sequences, across
+// geometries.
 // This is the strongest correctness net for the component every timing
 // result in the repo stands on.
 #include <gtest/gtest.h>
@@ -8,6 +9,8 @@
 #include <algorithm>
 #include <list>
 #include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -58,6 +61,20 @@ class ReferenceCache {
     return evicted;
   }
 
+  // Returns whether the removed line was dirty, nullopt if absent.
+  std::optional<bool> invalidate(Addr addr) {
+    const Addr line = line_of(addr);
+    auto& set = sets_[set_of(line)];
+    for (auto it = set.begin(); it != set.end(); ++it) {
+      if (it->line == line) {
+        const bool dirty = it->dirty;
+        set.erase(it);
+        return dirty;
+      }
+    }
+    return std::nullopt;
+  }
+
   std::vector<Addr> flush() {
     std::vector<Addr> dirty;
     for (auto& [idx, set] : sets_) {
@@ -73,6 +90,14 @@ class ReferenceCache {
   std::size_t valid_lines() const {
     std::size_t n = 0;
     for (const auto& [idx, set] : sets_) n += set.size();
+    return n;
+  }
+
+  std::size_t dirty_lines() const {
+    std::size_t n = 0;
+    for (const auto& [idx, set] : sets_) {
+      for (const Entry& e : set) n += e.dirty ? 1 : 0;
+    }
     return n;
   }
 
@@ -118,7 +143,7 @@ TEST_P(CacheDifferential, RandomisedAgreement) {
       // lookup (reads and writes)
       const bool w = rng.next_bool(0.3);
       ASSERT_EQ(dut.lookup(addr, w).hit, ref.lookup(addr, w)) << "step " << step;
-    } else if (op < 97) {
+    } else if (op < 90) {
       // miss-refill insert
       const bool dirty = rng.next_bool(0.25);
       const InsertResult di = dut.insert(addr, dirty);
@@ -128,15 +153,18 @@ TEST_P(CacheDifferential, RandomisedAgreement) {
         ASSERT_EQ(di.evicted_line_addr, ri->first) << "step " << step;
         ASSERT_EQ(di.evicted_dirty, ri->second) << "step " << step;
       }
+    } else if (op < 97) {
+      // single-line invalidation (the coherence path); frees a way that the
+      // next insert into the set must reuse before evicting anything
+      ASSERT_EQ(dut.invalidate(addr), ref.invalidate(addr)) << "step " << step;
     } else {
       // occasional full flush (the power-gating path)
       std::vector<Addr> dd = dut.flush();
       std::sort(dd.begin(), dd.end());
       ASSERT_EQ(dd, ref.flush()) << "step " << step;
     }
-    if (step % 997 == 0) {
-      ASSERT_EQ(dut.valid_lines(), ref.valid_lines()) << "step " << step;
-    }
+    ASSERT_EQ(dut.valid_lines(), ref.valid_lines()) << "step " << step;
+    ASSERT_EQ(dut.dirty_lines(), ref.dirty_lines()) << "step " << step;
   }
 }
 
@@ -203,6 +231,49 @@ TEST(CacheDirected, FlushReturnsExactlyTheDirtyLines) {
   EXPECT_EQ(cache.dirty_lines(), 0u);
   // A flushed cache misses everything it previously held.
   for (Addr k = 0; k < 32; ++k) EXPECT_FALSE(cache.probe(k * 32)) << k;
+}
+
+TEST(CacheDirected, FlushReturnsDirtyLinesInSetThenWaySlotOrder) {
+  // Reconfiguration write-back timing follows flush() order, so it is
+  // pinned exactly: ascending set, then way slot within the set — not
+  // insertion order and not address order.  8 sets of 4 ways; line
+  // (set s, tag t) is address (t * 8 + s) * 32.
+  const CacheConfig cfg{.capacity_bytes = 1024,
+                        .line_bytes = 32,
+                        .associativity = 4,
+                        .index_shift = 0};
+  Cache cache(cfg);
+  auto addr = [](Addr set, Addr tag) { return (tag * 8 + set) * 32; };
+  // slots[s] mirrors set s way by way: (address, dirty).
+  std::vector<std::vector<std::pair<Addr, bool>>> slots(8);
+  auto fill = [&](Addr set, Addr tag, bool dirty) {
+    ASSERT_FALSE(cache.insert(addr(set, tag), dirty).evicted);
+    slots[set].emplace_back(addr(set, tag), dirty);
+  };
+  // Sets first filled in descending order, then interleaved; tags descend
+  // within a set so that slot order is the reverse of address order.
+  for (Addr s = 8; s-- > 0;) fill(s, 9, (s % 2) == 0);
+  for (const Addr s : {2, 7, 0, 5, 3}) fill(s, 6, (s % 3) != 1);
+  for (const Addr s : {5, 0, 3}) fill(s, 4, true);
+  // An invalidated slot is refilled in place: set 0's slot 1 now holds
+  // tag 1, ahead of slot 2's tag 4 although it was inserted later.
+  ASSERT_EQ(cache.invalidate(addr(0, 6)), std::optional<bool>(true));
+  ASSERT_FALSE(cache.insert(addr(0, 1), true).evicted);
+  slots[0][1] = {addr(0, 1), true};
+
+  std::vector<Addr> expected;
+  for (const auto& set : slots) {
+    for (const auto& [line, dirty] : set) {
+      if (dirty) expected.push_back(line);
+    }
+  }
+  ASSERT_EQ(expected.size(), 11u);
+  EXPECT_EQ(cache.flush(), expected);
+  EXPECT_EQ(cache.valid_lines(), 0u);
+  // A flushed set refills from way 0 again.
+  cache.insert(addr(3, 2), true);
+  cache.insert(addr(3, 1), true);
+  EXPECT_EQ(cache.flush(), (std::vector<Addr>{addr(3, 2), addr(3, 1)}));
 }
 
 TEST(CacheDirected, InsertingDirtyOverCleanUpgradesAndSticks) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "cacti/sram_model.hpp"
@@ -39,6 +40,24 @@ class MotIcnTest : public ::testing::Test {
   static MemRequest req(CoreId c, BankId b, std::uint64_t id = 1) {
     return MemRequest{.id = id, .core = c, .bank = b, .addr = 0, .is_write = false,
                       .issue_cycle = 0};
+  }
+
+  /// Injects one request per (core, logical bank) at `now` and ticks until
+  /// all are delivered; returns (physical bank, core) in grant order.
+  std::vector<std::pair<BankId, CoreId>> drive(
+      MotInterconnect& icn, const std::vector<std::pair<CoreId, BankId>>& reqs,
+      Cycle& now) {
+    const std::size_t first = requests.size();
+    for (const auto& [c, b] : reqs) {
+      EXPECT_TRUE(icn.try_inject_request(req(c, b), now));
+    }
+    for (const Cycle end = now + 200; !icn.idle() && now < end; ++now) icn.tick(now);
+    std::vector<std::pair<BankId, CoreId>> order;
+    for (std::size_t i = first; i < requests.size(); ++i) {
+      order.emplace_back(requests[i].req.bank, requests[i].req.core);
+    }
+    EXPECT_EQ(order.size(), reqs.size());
+    return order;
   }
 };
 
@@ -157,6 +176,35 @@ TEST_F(MotIcnTest, ReconfigureChangesTimingAndRouting) {
   icn.configure(PowerState::pc16_mb8());
   EXPECT_EQ(icn.route(0), 12u);
   EXPECT_EQ(icn.state_timing().l2_round_trip(), 9u);
+}
+
+TEST_F(MotIcnTest, ConfigureKeepsEachBanksRoundRobinPointers) {
+  // Phase 1 leaves different round-robin pointers in banks 0 and 5.  A
+  // drained switch to PC4-MB32, which gates most of every arbitration
+  // tree, and back must keep them: phase 2 then grants in the same order
+  // as on an interconnect that never switched, and in another order than
+  // on a fresh one.
+  const std::vector<std::pair<CoreId, BankId>> phase1 = {
+      {3, 0}, {12, 0}, {0, 5}, {9, 5}, {10, 5}};
+  std::vector<std::pair<CoreId, BankId>> phase2;
+  for (CoreId c = 0; c < 16; ++c) phase2.emplace_back(c, c % 2 == 0 ? 0 : 5);
+
+  MotInterconnect switched = make(PowerState::full());
+  Cycle t = 0;
+  drive(switched, phase1, t);
+  switched.configure(PowerState::pc4_mb32());
+  switched.configure(PowerState::full());
+  const auto got = drive(switched, phase2, t);
+
+  MotInterconnect steady = make(PowerState::full());
+  Cycle t_steady = 0;
+  drive(steady, phase1, t_steady);
+  const auto want = drive(steady, phase2, t_steady);
+  EXPECT_EQ(got, want);
+
+  MotInterconnect fresh = make(PowerState::full());
+  Cycle t_fresh = 0;
+  EXPECT_NE(drive(fresh, phase2, t_fresh), want);
 }
 
 }  // namespace
