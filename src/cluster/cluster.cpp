@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -135,14 +136,17 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
   // Reserve up front: cores_[] holds raw pointers into the arena, which
   // must therefore never reallocate.
   core_arena_.reserve(cfg_.power_state.active_cores());
+  std::optional<mem::Cache> warm_l1i;
+  if (cfg_.warm_instruction_caches) {
+    warm_l1i = cpu::Core::warmed_l1i(cfg_.core, workload::AddressMap::kCodeBase,
+                                     cfg_.app.code_bytes);
+  }
   for (std::size_t t = 0; t < cfg_.power_state.active_cores(); ++t) {
     const CoreId c = cfg_.power_state.core_of_thread(t);
     traces_[c] = workload_->make_trace(t);
     core_arena_.emplace_back(c, cfg_.core, *traces_[c], barriers_, ifetch_issue);
     cores_[c] = &core_arena_.back();
-    if (cfg_.warm_instruction_caches) {
-      cores_[c]->warm_l1i(workload::AddressMap::kCodeBase, cfg_.app.code_bytes);
-    }
+    if (warm_l1i) cores_[c]->load_l1i(*warm_l1i);
     active_cores_.push_back(c);
   }
   live_ = WordBitset(core_arena_.size());

@@ -212,6 +212,8 @@ class Cluster {
   /// Component access for examples and tests.
   Interconnect& interconnect() { return *interconnect_; }
   core::MotInterconnect* mot() { return mot_; }
+  /// Core `c`, or nullptr for a gated core.
+  const cpu::Core* core(CoreId c) const { return cores_.at(c); }
   mem::L2System& l2() { return *l2_; }
   mem::MemoryBackend& dram() { return *dram_; }
   dram3d::StackedDram* stacked_dram() { return stacked_; }

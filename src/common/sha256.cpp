@@ -4,7 +4,16 @@
 #include <cstddef>
 #include <cstring>
 
+#include "common/sha256_kernels.hpp"
+
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define MOT3D_SHA256_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace mot3d {
+namespace sha256_detail {
 
 namespace {
 
@@ -25,7 +34,7 @@ inline std::uint32_t rotr(std::uint32_t x, unsigned n) {
   return (x >> n) | (x << (32 - n));
 }
 
-void compress(std::array<std::uint32_t, 8>& h, const unsigned char* block) {
+void compress_block(std::uint32_t h[8], const unsigned char* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -68,19 +77,96 @@ void compress(std::array<std::uint32_t, 8>& h, const unsigned char* block) {
   h[7] += k;
 }
 
+#ifdef MOT3D_SHA256_X86
+// Four rounds per step: rnds2 does two rounds on ABEF/CDGH with the
+// K+W words in the low half of its third operand.  W is kept four words
+// to a register, w[g % 4] holding words 4g..4g+3; msg1/msg2 extend the
+// schedule twelve words ahead of the rounds that consume it.
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_shani(
+    std::uint32_t state[8], const unsigned char* data, std::size_t blocks) {
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  // H0..H7 -> the ABEF / CDGH lane order the SHA instructions use.
+  const __m128i dcba = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i hgfe = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(dcba, hgfe, 8);
+  __m128i cdgh = _mm_blend_epi16(hgfe, dcba, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g < 4) {
+        w[g] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            bswap);
+      }
+      __m128i kw = _mm_add_epi32(
+          w[g % 4],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound.data() + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, kw);
+      if (g >= 3 && g <= 14) {
+        __m128i& next = w[(g + 1) % 4];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(w[g % 4], w[(g + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, w[g % 4]);
+      }
+      kw = _mm_shuffle_epi32(kw, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, kw);
+      if (g >= 1 && g <= 12) {
+        w[(g + 3) % 4] = _mm_sha256msg1_epu32(w[(g + 3) % 4], w[g % 4]);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool cpu_has_shani() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  // __builtin_cpu_supports("sha") is not reliable across GCC releases
+  // (GCC 12 reports 0 on SHA-NI parts), so read the CPUID bits directly.
+  if (__get_cpuid(1, &a, &b, &c, &d) == 0) return false;
+  const bool ssse3 = (c & bit_SSSE3) != 0;
+  const bool sse41 = (c & bit_SSE4_1) != 0;
+  if (__get_cpuid_count(7, 0, &a, &b, &c, &d) == 0) return false;
+  return ssse3 && sse41 && (b & bit_SHA) != 0;
+}
+#endif
+
 }  // namespace
 
-std::string sha256_hex(const std::string& data) {
-  std::array<std::uint32_t, 8> h = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
-                                    0xa54ff53a, 0x510e527f, 0x9b05688c,
-                                    0x1f83d9ab, 0x5be0cd19};
+void compress_scalar(std::uint32_t state[8], const unsigned char* data,
+                     std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) compress_block(state, data);
+}
+
+Compress shani_kernel() {
+#ifdef MOT3D_SHA256_X86
+  // CPUID is read once, on first use (thread-safe static init).
+  static const bool supported = cpu_has_shani();
+  if (supported) return compress_shani;
+#endif
+  return nullptr;
+}
+
+std::string hex_digest(Compress compress, const std::string& data) {
+  std::uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
   const unsigned char* p = reinterpret_cast<const unsigned char*>(data.data());
-  std::size_t remaining = data.size();
-  while (remaining >= 64) {
-    compress(h, p);
-    p += 64;
-    remaining -= 64;
-  }
+  const std::size_t whole = data.size() / 64;
+  compress(h, p, whole);
+  p += whole * 64;
+  const std::size_t remaining = data.size() % 64;
 
   // Final block(s): message tail + 0x80 + zero pad + 64-bit bit length.
   unsigned char tail[128] = {0};
@@ -92,8 +178,7 @@ std::string sha256_hex(const std::string& data) {
     tail[tail_blocks * 64 - 1 - i] =
         static_cast<unsigned char>((bits >> (8 * i)) & 0xff);
   }
-  compress(h, tail);
-  if (tail_blocks == 2) compress(h, tail + 64);
+  compress(h, tail, tail_blocks);
 
   static const char* hex = "0123456789abcdef";
   std::string out;
@@ -104,6 +189,16 @@ std::string sha256_hex(const std::string& data) {
     }
   }
   return out;
+}
+
+}  // namespace sha256_detail
+
+std::string sha256_hex(const std::string& data) {
+  // Both kernels compute the same function, so the choice never shows in
+  // a digest.
+  const sha256_detail::Compress shani = sha256_detail::shani_kernel();
+  return sha256_detail::hex_digest(
+      shani != nullptr ? shani : sha256_detail::compress_scalar, data);
 }
 
 }  // namespace mot3d

@@ -4,8 +4,10 @@
 // Cache keys must be collision-resistant across millions of memoized
 // experiment specs and stable across platforms and releases, which rules
 // out std::hash (unspecified) and 64-bit FNV (birthday collisions at
-// cache sizes we actually expect).  This is the plain portable reference
-// construction — no external dependency, byte-identical everywhere.
+// cache sizes we actually expect).  No external dependency; digests are
+// byte-identical everywhere.  On x86 CPUs with the SHA extensions the
+// compression runs on SHA-NI, elsewhere on the portable FIPS 180-4
+// reference kernel (common/sha256_kernels.hpp).
 #pragma once
 
 #include <cstdint>

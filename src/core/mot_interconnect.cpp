@@ -32,6 +32,11 @@ MotInterconnect::MotInterconnect(const MotTimingModel& timing,
 void MotInterconnect::configure(const PowerState& state) {
   state_ = state;
   state_timing_ = timing_.timing(state);
+  for (const bool line : {false, true}) {
+    request_energy_pj_[line] = timing_.request_energy_pj(state, line);
+    response_energy_pj_[line] = timing_.response_energy_pj(state, line);
+  }
+  leakage_mw_ = timing_.leakage_mw(state);
   routing_.configure(state);
   arb_gating_.configure(state);
   // Rebuild the waiter index from the slots.  Reconfiguration normally
@@ -91,7 +96,7 @@ bool MotInterconnect::try_inject_request(const MemRequest& req, Cycle now) {
   slot.valid = true;
   add_waiter(req.core, slot.physical_bank);
   ++stats_.requests_injected;
-  dynamic_energy_pj_ += timing_.request_energy_pj(state_, req.is_write);
+  dynamic_energy_pj_ += request_energy_pj_[req.is_write];
   return true;
 }
 
@@ -99,7 +104,7 @@ bool MotInterconnect::try_inject_response(const MemResponse& resp, Cycle now) {
   responses_.push_back(PendingResponse{resp, now + state_timing_.response_cycles});
   ++stats_.responses_injected;
   // Read responses carry the refilled line; write acks are header-only.
-  dynamic_energy_pj_ += timing_.response_energy_pj(state_, !resp.is_write);
+  dynamic_energy_pj_ += response_energy_pj_[!resp.is_write];
   return true;
 }
 

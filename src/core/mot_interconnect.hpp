@@ -18,6 +18,7 @@
 //    latencies (Fig. 5 / Table I).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -51,7 +52,7 @@ class MotInterconnect final : public Interconnect {
   Cycle next_event(Cycle now) const override;
 
   double dynamic_energy_pj() const override { return dynamic_energy_pj_; }
-  double leakage_mw() const override { return timing_.leakage_mw(state_); }
+  double leakage_mw() const override { return leakage_mw_; }
 
   /// Reprogram every switch for `state` (the ctr_0/ctr_1 distribution of
   /// Fig. 3); instantaneous — drain + flush sequencing is the
@@ -118,6 +119,12 @@ class MotInterconnect final : public Interconnect {
   std::vector<CoreId> candidates_;         ///< tick() scratch (eligible waiters)
   std::size_t valid_slots_ = 0;
   std::vector<unsigned> bank_fault_penalty_;  ///< extra hold per physical bank
+  /// Per-traversal energies of state_, indexed by whether the message
+  /// carries a line, and the network leakage: they depend only on the
+  /// power state, so configure() computes them once.
+  std::array<double, 2> request_energy_pj_{};
+  std::array<double, 2> response_energy_pj_{};
+  double leakage_mw_ = 0.0;
   double dynamic_energy_pj_ = 0.0;
   double fault_retry_pj_ = 0.0;
   double fault_retry_pj_per_grant_ = 0.0;

@@ -297,11 +297,21 @@ void Core::coherence_accepted(Cycle now) {
   coh_queue_.pop_front();
 }
 
-void Core::warm_l1i(Addr base, std::size_t bytes) {
-  const std::size_t line = cfg_.l1i.line_bytes;
+mem::Cache Core::warmed_l1i(const CoreConfig& cfg, Addr base, std::size_t bytes) {
+  mem::Cache l1i(cfg.l1i);
+  const std::size_t line = cfg.l1i.line_bytes;
   for (Addr a = base; a < base + bytes; a += line) {
-    l1i_.insert(a, /*dirty=*/false);
+    l1i.insert(a, /*dirty=*/false);
   }
+  return l1i;
+}
+
+void Core::load_l1i(const mem::Cache& image) {
+  assert(image.config().capacity_bytes == cfg_.l1i.capacity_bytes &&
+         image.config().line_bytes == cfg_.l1i.line_bytes &&
+         image.config().associativity == cfg_.l1i.associativity &&
+         image.config().index_shift == cfg_.l1i.index_shift);
+  l1i_ = image;
 }
 
 void Core::on_ifetch_refill(Addr addr, Cycle now) {

@@ -104,11 +104,16 @@ class Core {
   /// Miss bus delivers an instruction line.
   void on_ifetch_refill(Addr addr, Cycle now);
 
-  /// Pre-load the instruction cache with [base, base+bytes) before the run
-  /// starts.  Scaled-down traces over-weight cold-start I-misses relative
-  /// to the paper's full SPLASH-2 runs; warming restores the steady-state
-  /// behaviour the paper measures (standard warm-cache methodology).
-  void warm_l1i(Addr base, std::size_t bytes);
+  /// An L1I of `cfg`'s geometry pre-loaded with [base, base+bytes), for
+  /// load_l1i before the run starts.  Scaled-down traces over-weight
+  /// cold-start I-misses relative to the paper's full SPLASH-2 runs;
+  /// warming restores the steady-state behaviour the paper measures
+  /// (standard warm-cache methodology).  Every core warms the same lines
+  /// into the same empty cache, so one image serves them all.
+  static mem::Cache warmed_l1i(const CoreConfig& cfg, Addr base, std::size_t bytes);
+  /// Replace the L1I (lines, LRU clock, occupancy, stats) with `image`,
+  /// which must have this core's L1I geometry.
+  void load_l1i(const mem::Cache& image);
 
   bool done() const { return state_ == State::kDone; }
   /// Waiting at a barrier (released or not), and which one.
@@ -118,6 +123,7 @@ class Core {
   const char* state_name() const;
   CoreId id() const { return id_; }
   const CoreStats& stats() const { return stats_; }
+  const mem::Cache& l1i() const { return l1i_; }
   const mem::CacheStats& l1i_stats() const { return l1i_.stats(); }
   const mem::CacheStats& l1d_stats() const { return l1d_.stats(); }
 

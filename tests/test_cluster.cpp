@@ -169,5 +169,50 @@ TEST(Cluster, ColdInstructionCachesMissOnFirstSweep) {
   EXPECT_GT(cold.cycles, warm.cycles);  // I-refills ride the 200 ns Miss bus
 }
 
+TEST(Cluster, EveryCoreStartsWithTheL1iItWouldHaveWarmedItself) {
+  // The constructor warms one L1I image and copies it into every core;
+  // each copy must be the cache that core would have warmed on its own.
+  for (const core::PowerState& state :
+       {core::PowerState::full(), core::PowerState::pc4_mb8()}) {
+    SCOPED_TRACE(state.name());
+    const ClusterConfig cfg = small_cfg("volrend", Fabric::kMot, state);
+    const Cluster cluster(cfg);
+    const mem::CacheConfig& geom = cfg.core.l1i;
+    mem::Cache own(geom);
+    const Addr base = workload::AddressMap::kCodeBase;
+    for (Addr a = base; a < base + cfg.app.code_bytes; a += geom.line_bytes) {
+      own.insert(a, /*dirty=*/false);
+    }
+    const std::size_t sets = geom.capacity_bytes / geom.line_bytes / geom.associativity;
+    for (std::size_t t = 0; t < state.active_cores(); ++t) {
+      const cpu::Core* core = cluster.core(state.core_of_thread(t));
+      ASSERT_NE(core, nullptr);
+      const mem::Cache& l1i = core->l1i();
+      EXPECT_EQ(l1i.valid_lines(), own.valid_lines());
+      EXPECT_EQ(l1i.dirty_lines(), own.dirty_lines());
+      EXPECT_EQ(l1i.stats().read_hits, own.stats().read_hits);
+      EXPECT_EQ(l1i.stats().read_misses, own.stats().read_misses);
+      EXPECT_EQ(l1i.stats().write_hits, own.stats().write_hits);
+      EXPECT_EQ(l1i.stats().write_misses, own.stats().write_misses);
+      EXPECT_EQ(l1i.stats().evictions, own.stats().evictions);
+      EXPECT_EQ(l1i.stats().dirty_evictions, own.stats().dirty_evictions);
+      for (Addr a = base; a < base + cfg.app.code_bytes; a += geom.line_bytes) {
+        EXPECT_EQ(l1i.probe(a), own.probe(a)) << a;
+      }
+      // Same LRU state: the next insert into every set evicts the same way.
+      mem::Cache copy = l1i;
+      mem::Cache ref = own;
+      const Addr fresh = Addr{1} << 40;
+      for (std::size_t s = 0; s < sets; ++s) {
+        const Addr a = fresh + s * geom.line_bytes;
+        const mem::InsertResult got = copy.insert(a, false);
+        const mem::InsertResult want = ref.insert(a, false);
+        EXPECT_EQ(got.evicted, want.evicted) << "set " << s;
+        EXPECT_EQ(got.evicted_line_addr, want.evicted_line_addr) << "set " << s;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mot3d::cluster

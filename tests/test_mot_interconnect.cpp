@@ -207,5 +207,47 @@ TEST_F(MotIcnTest, ConfigureKeepsEachBanksRoundRobinPointers) {
   EXPECT_NE(drive(fresh, phase2, t_fresh), want);
 }
 
+TEST(MotIcnCache, ConfiguredEnergiesAndLeakageMatchTheTimingModel) {
+  // configure() caches the per-message energies and the leakage of the
+  // state; they must be exactly the timing model's values.
+  std::vector<PowerState> states = PowerState::paper_states();
+  states.emplace_back("Full1024x2048", 1024, 1024, 2048, 2048);
+  for (const PowerState& s : states) {
+    SCOPED_TRACE(s.name());
+    phys::FloorplanParams fp;
+    fp.max_cores = s.total_cores();
+    fp.max_banks = s.total_banks();
+    const MotTimingModel model(phys::default_technology(), fp, cacti::SramBankConfig{});
+    // Built in another state, then switched: the cache follows configure().
+    const PowerState other("other", s.total_cores(), s.total_cores() / 2,
+                           s.total_banks(), s.total_banks() / 4);
+    MotInterconnect icn(model, other);
+    icn.set_request_sink([](const MemRequest&, Cycle) {});
+    icn.set_response_sink([](const MemResponse&, Cycle) {});
+    icn.configure(s);
+    EXPECT_EQ(icn.leakage_mw(), model.leakage_mw(s));
+
+    // A write-back request and a write ack carry no line on the way
+    // back; a read request carries none, its data response one.
+    const CoreId c0 = s.core_of_thread(0);
+    const CoreId c1 = s.core_of_thread(1);
+    double expect = 0.0;
+    ASSERT_TRUE(icn.try_inject_request(
+        MemRequest{.id = 1, .core = c0, .bank = 0, .is_write = true}, 0));
+    expect += model.request_energy_pj(s, true);
+    EXPECT_EQ(icn.dynamic_energy_pj(), expect);
+    ASSERT_TRUE(icn.try_inject_request(
+        MemRequest{.id = 2, .core = c1, .bank = 1, .is_write = false}, 0));
+    expect += model.request_energy_pj(s, false);
+    EXPECT_EQ(icn.dynamic_energy_pj(), expect);
+    icn.try_inject_response(MemResponse{.id = 1, .core = c0, .bank = 0, .is_write = true}, 0);
+    expect += model.response_energy_pj(s, false);
+    EXPECT_EQ(icn.dynamic_energy_pj(), expect);
+    icn.try_inject_response(MemResponse{.id = 2, .core = c1, .bank = 1, .is_write = false}, 0);
+    expect += model.response_energy_pj(s, true);
+    EXPECT_EQ(icn.dynamic_energy_pj(), expect);
+  }
+}
+
 }  // namespace
 }  // namespace mot3d::core

@@ -10,6 +10,8 @@
 // trace exactly equal the statistics aggregates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -19,6 +21,7 @@
 #include "fault/fault_schedule.hpp"
 #include "obs/latency.hpp"
 #include "obs/metrics.hpp"
+#include "obs/phase_timer.hpp"
 #include "obs/trace.hpp"
 #include "workload/app_profile.hpp"
 
@@ -193,6 +196,51 @@ std::string metrics_json(const cluster::SimResult& r) {
   std::ostringstream os;
   r.metrics->write_json(os);
   return os.str();
+}
+
+TEST(PhaseTimer, EmptyLapsExtrapolateToAboutZero) {
+  // Laps that stamp nothing but the clock must not read as phase time:
+  // uncorrected, each span carries one clock read, which the x64
+  // extrapolation turns into 64 reads of phantom work.  Best of five
+  // trials, so a preempted trial cannot fail the test.
+  using PT = obs::PhaseTimer;
+  constexpr int kLaps = 4000;
+  double best_ratio = 1e9;
+  for (int trial = 0; trial < 5; ++trial) {
+    PT timer;
+    const PT::clock::time_point t0 = PT::clock::now();
+    for (int i = 0; i < kLaps; ++i) {
+      PT::Lap lap(&timer);
+      lap.end(PT::kWorkload);
+      lap.end(PT::kCoherence);
+      lap.end(PT::kFabric);
+      lap.end(PT::kL2);
+      lap.end(PT::kDram);
+    }
+    const double wall = std::chrono::duration<double>(PT::clock::now() - t0).count();
+    const obs::PhaseSeconds p = timer.totals();
+    const double phases = p.workload + p.coherence + p.fabric + p.l2 + p.dram;
+    // Uncorrected, the empty spans are most of the wall time: ~0.8.
+    best_ratio = std::min(best_ratio, phases / (64.0 * wall));
+  }
+  EXPECT_LT(best_ratio, 0.2);
+}
+
+TEST(PhaseTimer, ColdFirstTickIsNotExtrapolated) {
+  // The first tick of a run pays the cold start; as the sample of its
+  // 64-tick window it would be charged 64 times.
+  using PT = obs::PhaseTimer;
+  PT timer;
+  for (int tick = 0; tick < 64; ++tick) {
+    PT::Lap lap(timer.should_sample() ? &timer : nullptr);
+    if (tick == 0) {
+      const PT::clock::time_point until = PT::clock::now() + std::chrono::milliseconds(2);
+      while (PT::clock::now() < until) {
+      }
+    }
+    lap.end(PT::kWorkload);
+  }
+  EXPECT_LT(timer.totals().workload, 0.01);  // 64 x 2 ms when it is sampled
 }
 
 TEST(ObsCluster, ObservabilityDoesNotPerturbTheModel) {

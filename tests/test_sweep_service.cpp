@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -374,6 +376,122 @@ TEST_F(SweepServiceTest, EvictionKeepsTheCacheUnderItsByteCap) {
   ASSERT_TRUE(out[1].ok());
   EXPECT_LE(service.cache_stats().entries, 1u);
   EXPECT_GE(service.counters().snapshot().evictions, 1u);
+}
+
+std::string read_bytes(const fs::path& p) {
+  std::ifstream f(p, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(f), {});
+}
+
+void write_bytes(const fs::path& p, const std::string& bytes) {
+  std::ofstream f(p, std::ios::binary | std::ios::trunc);
+  f << bytes;
+}
+
+TEST_F(SweepServiceTest, EveryCorruptionReasonIsCountedRecomputedAndRewritten) {
+  SweepService service(config());
+  const auto cold = service.run_batch({job("fft", 0.005)});
+  ASSERT_TRUE(cold[0].ok()) << cold[0].error;
+  const fs::path entry = entry_file();
+  const std::string good = read_bytes(entry);
+
+  // The entry is five header lines (magic, spec hash, payload hash,
+  // payload length, spec document) and then the payload.
+  std::vector<std::string> hdr;
+  std::size_t pos = 0;
+  for (int i = 0; i < 5; ++i) {
+    const std::size_t nl = good.find('\n', pos);
+    ASSERT_NE(nl, std::string::npos);
+    hdr.push_back(good.substr(pos, nl - pos));
+    pos = nl + 1;
+  }
+  const std::string payload = good.substr(pos);
+  auto entry_with = [&](std::size_t line, const std::string& text) {
+    std::string out;
+    for (std::size_t i = 0; i < hdr.size(); ++i) {
+      out += (i == line ? text : hdr[i]) + "\n";
+    }
+    return out + payload;
+  };
+  const std::string first_four =
+      hdr[0] + "\n" + hdr[1] + "\n" + hdr[2] + "\n" + hdr[3];
+  std::string flipped = good;
+  flipped.back() = static_cast<char>(flipped.back() ^ 1);
+
+  struct Case {
+    const char* what;
+    std::string bytes;
+    const char* reason;
+  };
+  const std::vector<Case> cases = {
+      {"empty file", "", "bad magic"},
+      {"wrong magic", entry_with(0, "mot3d-cache v0"), "bad magic"},
+      {"wrong spec hash", entry_with(1, "spec_sha256 " + std::string(64, '0')),
+       "spec hash mismatch"},
+      {"no payload hash", entry_with(2, "payload_sha256"), "missing payload hash"},
+      {"no payload length", entry_with(3, "payload_size 12"),
+       "missing payload length"},
+      {"length with a suffix", entry_with(3, hdr[3] + "x"),
+       "malformed payload length"},
+      {"length not a number", entry_with(3, "payload_bytes many"),
+       "malformed payload length"},
+      {"header only", first_four + "\n", "missing spec document"},
+      {"final line without newline", first_four, "missing spec document"},
+      {"payload one byte short", good.substr(0, good.size() - 1),
+       "truncated payload"},
+      {"byte after payload", good + "\n", "trailing bytes after payload"},
+      {"payload byte flipped", flipped, "payload hash mismatch"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    write_bytes(entry, c.bytes);
+    const obs::ServiceSnapshot before = service.counters().snapshot();
+    ::testing::internal::CaptureStderr();
+    const auto out = service.run_batch({job("fft", 0.005)});
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(out[0].ok()) << out[0].error;
+    EXPECT_FALSE(out[0].cache_hit) << "a corrupt entry was served";
+    EXPECT_EQ(out[0].payload, cold[0].payload);
+    const obs::ServiceSnapshot after = service.counters().snapshot();
+    EXPECT_EQ(after.corrupt_entries, before.corrupt_entries + 1);
+    EXPECT_EQ(after.computed, before.computed + 1);
+    EXPECT_NE(err.find(std::string("(") + c.reason + ")"), std::string::npos)
+        << err;
+    EXPECT_EQ(read_bytes(entry), good) << "entry was not rewritten";
+  }
+}
+
+TEST_F(SweepServiceTest, HitRefreshesMtimeSoEvictionDropsTheLeastRecentlyRead) {
+  const SweepJob a = job("fft", 0.005);
+  const SweepJob b = job("radix", 0.005);
+  const SweepJob c = job("volrend", 0.005);
+  auto path_of = [&](const SweepJob& j) { return dir_ / (job_hash(j) + ".entry"); };
+  std::uintmax_t total = 0;
+  {
+    SweepService uncapped(config());
+    for (const JobOutcome& o : uncapped.run_batch({a, b, c})) {
+      ASSERT_TRUE(o.ok()) << o.error;
+    }
+    for (const SweepJob* j : {&a, &b, &c}) total += fs::file_size(path_of(*j));
+  }
+  fs::remove(path_of(c));
+  // a was written before b, so without a refresh a would go first.
+  const auto now = fs::file_time_type::clock::now();
+  fs::last_write_time(path_of(a), now - std::chrono::hours(2));
+  fs::last_write_time(path_of(b), now - std::chrono::hours(1));
+
+  ServiceConfig cfg = config();
+  cfg.max_cache_bytes = total - 1;  // storing c again evicts exactly one entry
+  SweepService service(cfg);
+  ASSERT_TRUE(service.run_batch({a})[0].cache_hit);
+  EXPECT_GT(fs::last_write_time(path_of(a)), now - std::chrono::minutes(1))
+      << "a hit must refresh the entry's mtime";
+
+  ASSERT_FALSE(service.run_batch({c})[0].cache_hit);
+  EXPECT_TRUE(fs::exists(path_of(a))) << "the entry read last was evicted";
+  EXPECT_FALSE(fs::exists(path_of(b)));
+  EXPECT_TRUE(fs::exists(path_of(c)));
+  EXPECT_EQ(service.counters().snapshot().evictions, 1u);
 }
 
 TEST(SweepServiceConstruct, UnwritableCacheDirThrowsOneCleanError) {
